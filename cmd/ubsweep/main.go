@@ -224,12 +224,24 @@ func run() int {
 		fmt.Printf("=== %s — %s\n", eo.Experiment.ID, eo.Experiment.Title)
 		fmt.Printf("--- paper: %s\n", eo.Experiment.Paper)
 		fmt.Println(eo.Output)
-		fmt.Printf("(%s in %.1fs)\n\n", eo.Experiment.ID, eo.Seconds)
+		fmt.Printf("%s\n\n", timingLine(eo, spec.Workers(), outc.Results.WallSeconds))
 	}
 	if *verbose && resultsPath != "" {
 		fmt.Fprintf(os.Stderr, "runner: wrote %s (%d runs)\n", resultsPath, len(outc.Results.Runs))
 	}
 	return 0
+}
+
+// timingLine labels an experiment's cost. eo.Seconds adds up the
+// per-run seconds of every worker, so on a parallel sweep it exceeds
+// the time anyone waited; the sweep's wall time is printed beside it.
+func timingLine(eo runner.ExperimentOutcome, workers int, wallSeconds float64) string {
+	unit := "workers"
+	if workers == 1 {
+		unit = "worker"
+	}
+	return fmt.Sprintf("(%s: %.1fs simulated, summed over %d %s; sweep wall time %.2fs)",
+		eo.Experiment.ID, eo.Seconds, workers, unit, wallSeconds)
 }
 
 // runBench executes the hot-path microbench suite (internal/bench, the

@@ -14,7 +14,7 @@
 //	//ubs:wallclock <why> (sink line) waive one wallclocktaint sink diagnostic; justification required
 //	//ubs:deterministic  (stmt/line)  waive one determinism diagnostic (order audited)
 //	//ubs:nonatomic      (stmt/line)  waive one atomicfield diagnostic (init-time access)
-//	//ubs:state          (type doc)   checkpointable state struct; checked by snapstate, a wallclocktaint sink
+//	//ubs:state          (type doc)   checkpointable state struct; a wallclocktaint sink
 //	//ubs:artifact       (type doc)   struct marshalled into a results artifact; a wallclocktaint sink
 //	//ubs:detached <why> (stmt/line)  waive one ctxleak diagnostic; justification required
 //	//ubs:guardedby(mu)  (field doc/line) field may only be accessed holding sibling mutex mu; checked by mutexguard

@@ -1,18 +1,16 @@
 package bpu
 
-import "fmt"
-
-// State is the checkpointable image of the branch predictor: perceptron
-// weight tables, global history, the BTB arrays, and the return address
-// stack. Geometry (table count/size, BTB shape, RAS depth) is
-// configuration; Restore requires a BPU built from the same Config.
+// State is the branch predictor's mutable state: perceptron weight
+// tables, global history, the BTB arrays, and the return address stack.
+// Geometry (table count/size, BTB shape, RAS depth) is configuration; a
+// restore requires a BPU built from the same Config.
 //
 //ubs:state
 type State struct {
-	Weights    [][]int8
+	Weights    [][]int8 // [table][entry]
 	Bias       []int8
 	History    uint64
-	BTBTags    [][]uint64
+	BTBTags    [][]uint64 // [set][way], 0 = invalid
 	BTBTargets [][]uint64
 	BTBLRU     [][]uint32
 	BTBClock   uint32
@@ -21,75 +19,5 @@ type State struct {
 	Stats      Stats
 }
 
-// Snapshot copies the predictor's mutable state into dst, reusing dst's
-// backing storage where it is already the right shape.
-func (b *BPU) Snapshot(dst *State) {
-	dst.Weights = copy2D(dst.Weights, b.weights)
-	dst.Bias = append(dst.Bias[:0], b.bias...)
-	dst.History = b.history
-	dst.BTBTags = copy2D(dst.BTBTags, b.btbTags)
-	dst.BTBTargets = copy2D(dst.BTBTargets, b.btbTargets)
-	dst.BTBLRU = copy2D(dst.BTBLRU, b.btbLRU)
-	dst.BTBClock = b.btbClock
-	dst.RAS = append(dst.RAS[:0], b.ras...)
-	dst.RASTop = b.rasTop
-	dst.Stats = b.stats
-}
-
-// Restore installs a previously captured State into a predictor of the
-// same geometry.
-func (b *BPU) Restore(src *State) error {
-	if err := restore2D(b.weights, src.Weights, "bpu weights"); err != nil {
-		return err
-	}
-	if len(src.Bias) != len(b.bias) {
-		return fmt.Errorf("bpu bias: snapshot has %d entries, predictor has %d", len(src.Bias), len(b.bias))
-	}
-	copy(b.bias, src.Bias)
-	b.history = src.History
-	if err := restore2D(b.btbTags, src.BTBTags, "btb tags"); err != nil {
-		return err
-	}
-	if err := restore2D(b.btbTargets, src.BTBTargets, "btb targets"); err != nil {
-		return err
-	}
-	if err := restore2D(b.btbLRU, src.BTBLRU, "btb lru"); err != nil {
-		return err
-	}
-	b.btbClock = src.BTBClock
-	if len(src.RAS) != len(b.ras) {
-		return fmt.Errorf("bpu ras: snapshot has %d entries, predictor has %d", len(src.RAS), len(b.ras))
-	}
-	copy(b.ras, src.RAS)
-	b.rasTop = src.RASTop
-	b.stats = src.Stats
-	return nil
-}
-
-// copy2D deep-copies src into dst row by row, reusing dst's rows where
-// capacity allows.
-func copy2D[T any](dst, src [][]T) [][]T {
-	if cap(dst) < len(src) {
-		dst = make([][]T, len(src))
-	}
-	dst = dst[:len(src)]
-	for i := range src {
-		dst[i] = append(dst[i][:0], src[i]...)
-	}
-	return dst
-}
-
-// restore2D copies src's rows into dst's pre-sized rows, requiring
-// matching shape.
-func restore2D[T any](dst, src [][]T, what string) error {
-	if len(src) != len(dst) {
-		return fmt.Errorf("%s: snapshot has %d rows, target has %d", what, len(src), len(dst))
-	}
-	for i := range src {
-		if len(src[i]) != len(dst[i]) {
-			return fmt.Errorf("%s: row %d has %d entries, target has %d", what, i, len(src[i]), len(dst[i]))
-		}
-		copy(dst[i], src[i])
-	}
-	return nil
-}
+// State returns the predictor's live state.
+func (b *BPU) State() *State { return &b.st }

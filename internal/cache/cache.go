@@ -139,9 +139,9 @@ type Cache struct {
 	// of two (every Table I geometry is); setsPow2 selects the fast path.
 	setMask  uint64
 	setsPow2 bool
-	sets     [][]Block
+	ways     int // cfg.Ways, kept beside the masks so Probe stays inlinable
 	policy   Policy
-	stats    Stats
+	st       State
 }
 
 // New constructs a cache from cfg.
@@ -152,7 +152,7 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	c := &Cache{cfg: cfg}
+	c := &Cache{cfg: cfg, ways: cfg.Ways}
 	for 1<<c.blockShift < cfg.BlockSize {
 		c.blockShift++
 	}
@@ -163,17 +163,21 @@ func New(cfg Config) (*Cache, error) {
 		c.setsPow2 = true
 		c.setMask = uint64(cfg.Sets - 1)
 	}
-	c.sets = make([][]Block, cfg.Sets)
-	blocks := make([]Block, cfg.Sets*cfg.Ways)
-	for s := range c.sets {
-		c.sets[s], blocks = blocks[:cfg.Ways], blocks[cfg.Ways:]
-	}
+	c.st.Blocks = make([]Block, cfg.Sets*cfg.Ways)
 	if cfg.NewPolicy != nil {
 		c.policy = cfg.NewPolicy(cfg.Sets, cfg.Ways)
 	} else {
 		c.policy = NewLRU(cfg.Sets, cfg.Ways)
 	}
+	if sp, ok := c.policy.(interface{ policyState() *PolicyState }); ok {
+		c.st.Policy = sp.policyState()
+	}
 	return c, nil
+}
+
+// set returns the ways of set s.
+func (c *Cache) set(s int) []Block {
+	return c.st.Blocks[s*c.ways : (s+1)*c.ways]
 }
 
 // MustNew is New for static configurations; it panics on error.
@@ -193,7 +197,7 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) BlockSize() int { return c.cfg.BlockSize }
 
 // Stats returns a copy of the counters.
-func (c *Cache) Stats() Stats { return c.stats }
+func (c *Cache) Stats() Stats { return c.st.Stats }
 
 // Policy exposes the replacement policy (for tests and ACIC coupling).
 func (c *Cache) Policy() Policy { return c.policy }
@@ -204,19 +208,23 @@ func (c *Cache) BlockAddr(addr uint64) uint64 {
 }
 
 // SetIndex maps an address to its set.
-func (c *Cache) SetIndex(addr uint64) int {
+func (c *Cache) SetIndex(addr uint64) int { return c.setOf(addr >> c.blockShift) }
+
+// setOf maps a block address (addr >> blockShift) to its set.
+func (c *Cache) setOf(tag uint64) int {
 	if c.setsPow2 {
-		return int((addr >> c.blockShift) & c.setMask)
+		return int(tag & c.setMask)
 	}
-	return int((addr >> c.blockShift) % uint64(c.cfg.Sets))
+	return int(tag % uint64(c.cfg.Sets))
 }
 
 // Probe looks addr up without changing any state.
 func (c *Cache) Probe(addr uint64) (set, way int, hit bool) {
 	tag := addr >> c.blockShift
-	set = c.SetIndex(addr)
-	for w := range c.sets[set] {
-		if c.sets[set][w].Valid && c.sets[set][w].Tag == tag {
+	set = c.setOf(tag)
+	blocks := c.set(set)
+	for w := range blocks {
+		if blocks[w].Valid && blocks[w].Tag == tag {
 			return set, w, true
 		}
 	}
@@ -237,15 +245,15 @@ func (c *Cache) Access(addr uint64, size int, ctx AccessContext) bool {
 // exactly the counters and policy updates Access would.
 func (c *Cache) AccessAt(set, way int, hit bool, addr uint64, size int, ctx AccessContext) bool {
 	c.checkRange(addr, size)
-	c.stats.Accesses++
+	c.st.Stats.Accesses++
 	if !hit {
-		c.stats.Misses++
+		c.st.Stats.Misses++
 		return false
 	}
-	c.stats.Hits++
-	b := &c.sets[set][way]
+	c.st.Stats.Hits++
+	b := &c.set(set)[way]
 	if b.Prefetched && !b.Reused {
-		c.stats.PrefetchHits++
+		c.st.Stats.PrefetchHits++
 	}
 	b.Reused = true
 	b.LastAccess = ctx.Cycle
@@ -263,7 +271,7 @@ func (c *Cache) MarkAccessed(addr uint64, size int) {
 	if !hit {
 		return
 	}
-	c.markAccessed(&c.sets[set][way], addr, size)
+	c.markAccessed(&c.set(set)[way], addr, size)
 }
 
 func (c *Cache) markAccessed(b *Block, addr uint64, size int) {
@@ -292,28 +300,28 @@ func (c *Cache) checkRange(addr uint64, size int) {
 func (c *Cache) Fill(addr uint64, ctx AccessContext) (victim Block) {
 	tag := addr >> c.blockShift
 	set, way, hit := c.Probe(addr)
+	blocks := c.set(set)
 	if hit {
-		b := &c.sets[set][way]
-		c.policy.OnHit(set, way, b, ctx)
+		c.policy.OnHit(set, way, &blocks[way], ctx)
 		return Block{}
 	}
 	way = -1
-	for w := range c.sets[set] {
-		if !c.sets[set][w].Valid {
+	for w := range blocks {
+		if !blocks[w].Valid {
 			way = w
 			break
 		}
 	}
 	if way < 0 {
-		way = c.policy.Victim(set, c.sets[set], ctx)
+		way = c.policy.Victim(set, blocks, ctx)
 		if way < 0 || way >= c.cfg.Ways {
 			panic(fmt.Sprintf("cache %s: policy %s returned bad victim %d",
 				c.cfg.Name, c.policy.Name(), way))
 		}
-		victim = c.sets[set][way]
+		victim = blocks[way]
 		c.evict(set, way)
 	}
-	b := &c.sets[set][way]
+	b := &blocks[way]
 	*b = Block{
 		Valid:       true,
 		Tag:         tag,
@@ -321,9 +329,9 @@ func (c *Cache) Fill(addr uint64, ctx AccessContext) (victim Block) {
 		InsertCycle: ctx.Cycle,
 		LastAccess:  ctx.Cycle,
 	}
-	c.stats.Fills++
+	c.st.Stats.Fills++
 	if ctx.Prefetch {
-		c.stats.PrefetchFills++
+		c.st.Stats.PrefetchFills++
 	}
 	c.policy.OnFill(set, way, b, ctx)
 	return victim
@@ -331,16 +339,16 @@ func (c *Cache) Fill(addr uint64, ctx AccessContext) (victim Block) {
 
 // evict removes the block at (set, way), running hooks and stats.
 func (c *Cache) evict(set, way int) {
-	b := &c.sets[set][way]
+	b := &c.set(set)[way]
 	if !b.Valid {
 		return
 	}
-	c.stats.Evictions++
+	c.st.Stats.Evictions++
 	if b.Accessed == 0 {
-		c.stats.EvictedUnused++
+		c.st.Stats.EvictedUnused++
 	}
 	if b.Dirty {
-		c.stats.WritebackDirty++
+		c.st.Stats.WritebackDirty++
 	}
 	c.policy.OnEvict(set, way, b)
 	if c.cfg.OnEvict != nil {
@@ -356,8 +364,8 @@ func (c *Cache) Invalidate(addr uint64) (b Block, ok bool) {
 	if !hit {
 		return Block{}, false
 	}
-	b = c.sets[set][way]
-	c.stats.Invalidations++
+	b = c.set(set)[way]
+	c.st.Stats.Invalidations++
 	c.evict(set, way)
 	return b, true
 }
@@ -365,17 +373,15 @@ func (c *Cache) Invalidate(addr uint64) (b Block, ok bool) {
 // SetDirty marks the block containing addr dirty (store hits).
 func (c *Cache) SetDirty(addr uint64) {
 	if set, way, hit := c.Probe(addr); hit {
-		c.sets[set][way].Dirty = true
+		c.set(set)[way].Dirty = true
 	}
 }
 
 // ForEach visits every valid block; the visitor must not retain the pointer.
 func (c *Cache) ForEach(f func(set, way int, b *Block)) {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].Valid {
-				f(s, w, &c.sets[s][w])
-			}
+	for i := range c.st.Blocks {
+		if c.st.Blocks[i].Valid {
+			f(i/c.cfg.Ways, i%c.cfg.Ways, &c.st.Blocks[i])
 		}
 	}
 }

@@ -5,18 +5,19 @@ import "math/rand"
 // NewLRU returns a least-recently-used policy.
 func NewLRU(sets, ways int) Policy { return &lru{} }
 
-type lru struct{ clock uint64 }
+// lru stamps blocks from PolicyState.Clock.
+type lru struct{ PolicyState }
 
 func (p *lru) Name() string { return "lru" }
 
 func (p *lru) OnFill(set, way int, b *Block, ctx AccessContext) {
-	p.clock++
-	b.LRU = p.clock
+	p.Clock++
+	b.LRU = p.Clock
 }
 
 func (p *lru) OnHit(set, way int, b *Block, ctx AccessContext) {
-	p.clock++
-	b.LRU = p.clock
+	p.Clock++
+	b.LRU = p.Clock
 }
 
 func (p *lru) OnEvict(set, way int, b *Block) {}
@@ -37,13 +38,14 @@ func (p *lru) Victim(set int, blocks []Block, ctx AccessContext) int {
 // NewFIFO returns a first-in-first-out policy (insertion-order eviction).
 func NewFIFO(sets, ways int) Policy { return &fifo{} }
 
-type fifo struct{ clock uint64 }
+// fifo stamps blocks from PolicyState.Clock at fill only.
+type fifo struct{ PolicyState }
 
 func (p *fifo) Name() string { return "fifo" }
 
 func (p *fifo) OnFill(set, way int, b *Block, ctx AccessContext) {
-	p.clock++
-	b.LRU = p.clock
+	p.Clock++
+	b.LRU = p.Clock
 }
 
 func (p *fifo) OnHit(set, way int, b *Block, ctx AccessContext) {}

@@ -12,13 +12,13 @@ func NewPLRU(sets, ways int) Policy {
 	if ways&(ways-1) != 0 || ways < 2 {
 		return NewLRU(sets, ways)
 	}
-	return &plru{bits: make([]uint64, sets), ways: ways}
+	return &plru{PolicyState: PolicyState{Bits: make([]uint64, sets)}, ways: ways}
 }
 
+// plru keeps the internal tree nodes of each set packed into
+// PolicyState.Bits (ways-1 nodes; supports up to 64 ways).
 type plru struct {
-	// bits holds the internal tree nodes per set, packed into a uint64
-	// (ways-1 nodes; supports up to 64 ways).
-	bits []uint64
+	PolicyState
 	ways int
 }
 
@@ -31,10 +31,10 @@ func (p *plru) touch(set, way int) {
 		half := levelWays / 2
 		bit := uint64(1) << uint(node-1)
 		if way < half {
-			p.bits[set] |= bit // point right (away from the touched way)
+			p.Bits[set] |= bit // point right (away from the touched way)
 			node = node * 2
 		} else {
-			p.bits[set] &^= bit // point left
+			p.Bits[set] &^= bit // point left
 			node = node*2 + 1
 			way -= half
 		}
@@ -56,7 +56,7 @@ func (p *plru) Victim(set int, blocks []Block, ctx AccessContext) int {
 	for levelWays > 1 {
 		half := levelWays / 2
 		bit := uint64(1) << uint(node-1)
-		if p.bits[set]&bit != 0 {
+		if p.Bits[set]&bit != 0 {
 			// Pointer says right.
 			node = node*2 + 1
 			way += half
@@ -75,12 +75,13 @@ func NewDRRIP(sets, ways int) Policy {
 	return d
 }
 
+// drrip keeps its policy-selection counter in PolicyState.PSel (high =
+// BRRIP wins) and BRRIP's infrequent near-insertion counter in
+// PolicyState.BRCnt.
 type drrip struct {
+	PolicyState
 	max  uint8
 	sets int
-	// psel is the policy-selection counter: high = BRRIP wins.
-	psel  int
-	brCnt uint32 // BRRIP's infrequent near-insertion counter
 }
 
 func (d *drrip) Name() string { return "drrip" }
@@ -105,12 +106,12 @@ func (d *drrip) OnFill(set, way int, b *Block, ctx AccessContext) {
 	case 1:
 		useBR = true
 	default:
-		useBR = d.psel > 0
+		useBR = d.PSel > 0
 	}
 	if useBR {
 		// BRRIP: distant re-reference mostly, near-distant 1/32 of fills.
-		d.brCnt++
-		if d.brCnt%32 == 0 {
+		d.BRCnt++
+		if d.BRCnt%32 == 0 {
 			b.RRPV = d.max - 1
 		} else {
 			b.RRPV = d.max
@@ -125,12 +126,12 @@ func (d *drrip) OnHit(set, way int, b *Block, ctx AccessContext) {
 	// A hit in a leader set rewards that leader's policy.
 	switch d.leader(set) {
 	case 0:
-		if d.psel > -1024 {
-			d.psel--
+		if d.PSel > -1024 {
+			d.PSel--
 		}
 	case 1:
-		if d.psel < 1023 {
-			d.psel++
+		if d.PSel < 1023 {
+			d.PSel++
 		}
 	}
 }

@@ -80,18 +80,18 @@ func TestDRRIPDuelingMovesPsel(t *testing.T) {
 	d := NewDRRIP(64, 4).(*drrip)
 	var b Block
 	// Hits in the BRRIP leader set push psel up.
-	before := d.psel
+	before := d.PSel
 	for i := 0; i < 10; i++ {
 		d.OnHit(1, 0, &b, AccessContext{})
 	}
-	if d.psel <= before {
+	if d.PSel <= before {
 		t.Error("BRRIP leader hits did not raise psel")
 	}
 	// Hits in the SRRIP leader set push it down.
 	for i := 0; i < 20; i++ {
 		d.OnHit(0, 0, &b, AccessContext{})
 	}
-	if d.psel >= before+10 {
+	if d.PSel >= before+10 {
 		t.Error("SRRIP leader hits did not lower psel")
 	}
 }

@@ -1,27 +1,28 @@
 package cache
 
-import "fmt"
-
-// State is the checkpointable image of a Cache: every Block of every set
-// (flattened in set-major order) plus the counters and whatever mutable
+// State is a Cache's mutable state, and the checkpoint image of it: every
+// Block of every set (set-major) plus the counters and whatever mutable
 // state the replacement policy carries. Geometry (sets, ways, block
-// size) is configuration, not state — Restore requires a Cache built
-// from the same Config.
+// size) is configuration, not state — a restore requires a Cache built
+// from the same Config, and the Blocks length is the check.
 //
 //ubs:state
 type State struct {
 	// Blocks holds Sets*Ways entries, set-major.
 	Blocks []Block
 	Stats  Stats
-	Policy PolicyState
+	// Policy points at the replacement policy's own state; it is nil for
+	// a policy that carries none beyond the per-Block metadata (srrip,
+	// whose state lives in Block.RRPV, and policies from outside this
+	// package). The seeded random policy is NOT checkpoint-safe and no
+	// registered design uses it.
+	Policy *PolicyState
 }
 
 // PolicyState is the union of every stateful replacement policy's
-// mutable fields. Exactly the fields the cache's policy uses are
-// meaningful; the rest stay zero. A policy that does not implement
-// StatefulPolicy is treated as stateless (true for srrip, whose state
-// lives in Block.RRPV; the seeded random policy is NOT checkpoint-safe
-// and no registered design uses it).
+// mutable fields; each such policy embeds one and works on it directly.
+// Exactly the fields the cache's policy uses are meaningful; the rest
+// stay zero.
 type PolicyState struct {
 	// Clock is the lru/fifo monotonic tick and the ghrp access clock.
 	Clock uint64
@@ -36,98 +37,10 @@ type PolicyState struct {
 	BRCnt uint32
 }
 
-// StatefulPolicy is implemented by replacement policies whose decisions
-// depend on mutable state beyond the per-Block metadata.
-type StatefulPolicy interface {
-	SnapshotPolicy(dst *PolicyState)
-	RestorePolicy(src *PolicyState)
-}
+// policyState returns the state a policy embeds; it is how Cache finds
+// the PolicyState to point State.Policy at.
+func (p *PolicyState) policyState() *PolicyState { return p }
 
-// Snapshot copies the cache's mutable state into dst, reusing dst's
-// backing storage where it is already the right size.
-func (c *Cache) Snapshot(dst *State) {
-	want := c.cfg.Sets * c.cfg.Ways
-	if cap(dst.Blocks) < want {
-		dst.Blocks = make([]Block, want)
-	}
-	dst.Blocks = dst.Blocks[:want]
-	for s := range c.sets {
-		copy(dst.Blocks[s*c.cfg.Ways:(s+1)*c.cfg.Ways], c.sets[s])
-	}
-	dst.Stats = c.stats
-	// Reset the policy union to zero while keeping backing storage
-	// reusable for the policy that is actually installed.
-	dst.Policy.Clock, dst.Policy.History = 0, 0
-	dst.Policy.PSel, dst.Policy.BRCnt = 0, 0
-	dst.Policy.Bits = dst.Policy.Bits[:0]
-	for i := range dst.Policy.Tables {
-		dst.Policy.Tables[i] = dst.Policy.Tables[i][:0]
-	}
-	dst.Policy.Tables = dst.Policy.Tables[:0]
-	if sp, ok := c.policy.(StatefulPolicy); ok {
-		sp.SnapshotPolicy(&dst.Policy)
-	}
-}
-
-// Restore installs a previously captured State. The cache must have the
-// same geometry the snapshot was taken from.
-func (c *Cache) Restore(src *State) error {
-	want := c.cfg.Sets * c.cfg.Ways
-	if len(src.Blocks) != want {
-		return fmt.Errorf("cache %s: snapshot has %d blocks, cache holds %d", c.cfg.Name, len(src.Blocks), want)
-	}
-	for s := range c.sets {
-		copy(c.sets[s], src.Blocks[s*c.cfg.Ways:(s+1)*c.cfg.Ways])
-	}
-	c.stats = src.Stats
-	if sp, ok := c.policy.(StatefulPolicy); ok {
-		sp.RestorePolicy(&src.Policy)
-	}
-	return nil
-}
-
-func (p *lru) SnapshotPolicy(dst *PolicyState) { dst.Clock = p.clock }
-func (p *lru) RestorePolicy(src *PolicyState)  { p.clock = src.Clock }
-
-func (p *fifo) SnapshotPolicy(dst *PolicyState) { dst.Clock = p.clock }
-func (p *fifo) RestorePolicy(src *PolicyState)  { p.clock = src.Clock }
-
-func (p *plru) SnapshotPolicy(dst *PolicyState) {
-	dst.Bits = append(dst.Bits[:0], p.bits...)
-}
-
-func (p *plru) RestorePolicy(src *PolicyState) {
-	copy(p.bits, src.Bits)
-}
-
-func (d *drrip) SnapshotPolicy(dst *PolicyState) {
-	dst.PSel = int64(d.psel)
-	dst.BRCnt = d.brCnt
-}
-
-func (d *drrip) RestorePolicy(src *PolicyState) {
-	d.psel = int(src.PSel)
-	d.brCnt = src.BRCnt
-}
-
-func (g *ghrp) SnapshotPolicy(dst *PolicyState) {
-	if cap(dst.Tables) < ghrpTables {
-		dst.Tables = make([][]uint8, ghrpTables)
-	}
-	dst.Tables = dst.Tables[:ghrpTables]
-	for i := range g.tables {
-		dst.Tables[i] = append(dst.Tables[i][:0], g.tables[i]...)
-	}
-	dst.History = g.history
-	dst.Clock = g.clock
-}
-
-func (g *ghrp) RestorePolicy(src *PolicyState) {
-	for i := range g.tables {
-		if i < len(src.Tables) {
-			copy(g.tables[i], src.Tables[i])
-		}
-	}
-	g.history = src.History
-	g.clock = src.Clock
-}
+// State returns the cache's live state. Snapshots copy it; restores
+// write into it.
+func (c *Cache) State() *State { return &c.st }

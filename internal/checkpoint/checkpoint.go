@@ -11,6 +11,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -35,7 +36,12 @@ const magic = "UBSC"
 // Version must be bumped whenever any //ubs:state struct (or the snap
 // codec itself) changes shape. Readers reject other versions; there is
 // no migration: checkpoints are restart accelerators, not archives.
-const Version = 1
+//
+// Version 2: every layer runs directly on its state struct, so the
+// image now carries the queues' raw backing windows with their head
+// indices, cache and predictor directories set-major, and the layer
+// states behind presence-flagged pointers.
+const Version = 2
 
 // Meta names what a checkpoint is a checkpoint OF. Everything needed to
 // rebuild an identical fresh machine travels in the file: the workload
@@ -75,7 +81,8 @@ func Encode(meta Meta, st *sim.MachineState) ([]byte, error) {
 	return buf, nil
 }
 
-// Decode parses and verifies the checkpoint wire format.
+// Decode parses and verifies the checkpoint wire format. Whatever it
+// accepts, Encode turns back into the same bytes.
 func Decode(data []byte) (Meta, *sim.MachineState, error) {
 	var meta Meta
 	if len(data) < len(magic)+2+4+4+4 {
@@ -98,8 +105,15 @@ func Decode(data []byte) (Meta, *sim.MachineState, error) {
 	if metaLen < 0 || off+metaLen+4 > len(payload) {
 		return meta, nil, fmt.Errorf("checkpoint: meta block overruns file")
 	}
-	if err := json.Unmarshal(payload[off:off+metaLen], &meta); err != nil {
+	mj := payload[off : off+metaLen]
+	if err := json.Unmarshal(mj, &meta); err != nil {
 		return meta, nil, fmt.Errorf("checkpoint: decoding meta: %w", err)
+	}
+	// Encode writes the one canonical JSON form; anything else (other
+	// key order, spacing, unknown fields) did not come from Encode, and
+	// rejecting it keeps every decodable file re-encodable byte for byte.
+	if canon, err := json.Marshal(meta); err != nil || !bytes.Equal(canon, mj) {
+		return meta, nil, fmt.Errorf("checkpoint: meta block is not in canonical form")
 	}
 	off += metaLen
 	stateLen := int(binary.LittleEndian.Uint32(payload[off:]))

@@ -201,39 +201,51 @@ func TestCancelWritesCheckpointAndResumes(t *testing.T) {
 	}
 }
 
-// writeGoodCheckpoint runs halfway and returns a valid checkpoint file.
-func writeGoodCheckpoint(t *testing.T) (string, []byte) {
-	t.Helper()
-	p := testParams()
+// midRunCheckpoint runs design on server_001 halfway through the
+// measured region and returns the encoded checkpoint.
+func midRunCheckpoint(tb testing.TB, p sim.Params, design string) []byte {
+	tb.Helper()
 	w, err := workloadspec.ParseWorkload("server_001")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	d, err := sim.ParseDesign("conv:32")
+	d, err := sim.ParseDesign(design)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	src, err := w.NewSource()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	m, err := sim.NewMachine(context.Background(), p, src, w.Name, d.Name, d.Factory)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := m.Warmup(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := m.Advance(p.Measure / 2); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "good.ubsc")
-	meta := Meta{Workload: w.Spec, WorkloadName: w.Name, Design: "conv:32", Params: p}
-	if err := Write(path, meta, m); err != nil {
-		t.Fatal(err)
+	var st sim.MachineState
+	if err := m.Snapshot(&st); err != nil {
+		tb.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
+	meta := Meta{Workload: w.Spec, WorkloadName: w.Name, Design: design, Params: p,
+		Instructions: m.Core().Stats().Instructions}
+	data, err := Encode(meta, &st)
 	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// writeGoodCheckpoint runs halfway and returns a valid checkpoint file.
+func writeGoodCheckpoint(t *testing.T) (string, []byte) {
+	t.Helper()
+	data := midRunCheckpoint(t, testParams(), "conv:32")
+	path := filepath.Join(t.TempDir(), "good.ubsc")
+	if err := WriteFileAtomic(path, data); err != nil {
 		t.Fatal(err)
 	}
 	return path, data

@@ -117,65 +117,26 @@ func (s Stats) FrontEndStallFraction() float64 {
 	return float64(s.Stalls[StallICache]) / float64(s.Cycles)
 }
 
-// robEntry is one in-flight instruction.
-type robEntry struct {
-	done       uint64
-	seq        uint64
-	isLoad     bool
-	isStore    bool
-	mispredict bool
-}
-
-// decodeItem is an instruction between fetch and dispatch.
-type decodeItem struct {
-	item    fdip.Item
-	readyAt uint64
-}
-
-// inflightEntry is one dispatched-but-incomplete instruction in the
-// completion heap: its completion cycle plus the queue resources it holds.
-type inflightEntry struct {
-	done    uint64
-	isLoad  bool
-	isStore bool
-}
-
-// inflight maintains the scheduler/LQ/SQ occupancy incrementally: counters
-// rise at dispatch and fall when the clock passes each instruction's
-// completion cycle. A fixed-capacity min-heap on completion time (capacity
-// ROBSize, sized at construction — the same shape as the memory system's
-// MSHR file) orders the expiries, replacing the per-cycle O(ROB) occupancy
-// scan the dispatch stage previously performed. The counters are, by
-// construction, exactly |{e in ROB : e.done > now}| split by class: entries
-// enter at dispatch (done is always > now then) and commit only removes
-// entries whose completion already expired here.
-type inflight struct {
-	heap   []inflightEntry
-	sched  int
-	loads  int
-	stores int
-}
-
 // add registers a dispatched instruction completing at done.
 //
 //ubs:hotpath
-func (f *inflight) add(done uint64, isLoad, isStore bool) {
-	f.sched++
+func (f *Inflight) add(done uint64, isLoad, isStore bool) {
+	f.Sched++
 	if isLoad {
-		f.loads++
+		f.Loads++
 	}
 	if isStore {
-		f.stores++
+		f.Stores++
 	}
 	//ubs:allowalloc the heap's backing array is pre-sized to ROBSize at construction
-	f.heap = append(f.heap, inflightEntry{done: done, isLoad: isLoad, isStore: isStore})
-	i := len(f.heap) - 1
+	f.Heap = append(f.Heap, InflightEntry{Done: done, IsLoad: isLoad, IsStore: isStore})
+	i := len(f.Heap) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if f.heap[p].done <= f.heap[i].done {
+		if f.Heap[p].Done <= f.Heap[i].Done {
 			break
 		}
-		f.heap[p], f.heap[i] = f.heap[i], f.heap[p]
+		f.Heap[p], f.Heap[i] = f.Heap[i], f.Heap[p]
 		i = p
 	}
 }
@@ -185,32 +146,32 @@ func (f *inflight) add(done uint64, isLoad, isStore bool) {
 // exactly once.
 //
 //ubs:hotpath
-func (f *inflight) expire(now uint64) {
-	for len(f.heap) > 0 && f.heap[0].done <= now {
-		e := f.heap[0]
-		f.sched--
-		if e.isLoad {
-			f.loads--
+func (f *Inflight) expire(now uint64) {
+	for len(f.Heap) > 0 && f.Heap[0].Done <= now {
+		e := f.Heap[0]
+		f.Sched--
+		if e.IsLoad {
+			f.Loads--
 		}
-		if e.isStore {
-			f.stores--
+		if e.IsStore {
+			f.Stores--
 		}
-		n := len(f.heap) - 1
-		f.heap[0] = f.heap[n]
-		f.heap = f.heap[:n]
+		n := len(f.Heap) - 1
+		f.Heap[0] = f.Heap[n]
+		f.Heap = f.Heap[:n]
 		i := 0
 		for {
 			l, r, s := 2*i+1, 2*i+2, i
-			if l < n && f.heap[l].done < f.heap[s].done {
+			if l < n && f.Heap[l].Done < f.Heap[s].Done {
 				s = l
 			}
-			if r < n && f.heap[r].done < f.heap[s].done {
+			if r < n && f.Heap[r].Done < f.Heap[s].Done {
 				s = r
 			}
 			if s == i {
 				break
 			}
-			f.heap[i], f.heap[s] = f.heap[s], f.heap[i]
+			f.Heap[i], f.Heap[s] = f.Heap[s], f.Heap[i]
 			i = s
 		}
 	}
@@ -223,32 +184,7 @@ type Core struct {
 	ic  icache.Frontend
 	dc  *mem.DataCache
 
-	// Backend state.
-	rob      []robEntry
-	robHead  int
-	robCount int
-	// decode is a head-indexed FIFO: decodeHead..len(decode) is live.
-	// Draining by advancing the head (not re-slicing) keeps the backing
-	// array reusable, so steady state performs no allocations.
-	decode     []decodeItem
-	decodeHead int
-	// busy tracks scheduler/LQ/SQ occupancy incrementally (see inflight).
-	busy     inflight
-	seq      uint64
-	doneRing [512]uint64 // completion cycles by sequence number
-
-	// Front-end redirect state.
-	waitMispredict bool
-	redirectAt     uint64 // 0 = resolution cycle unknown yet
-	fetchBlocked   uint64 // fetch stalls until this cycle
-	blockReason    StallReason
-
-	// clock is the monotonic cycle counter — the time base for every
-	// completion time in the machine. It is never reset; stats.Cycles
-	// counts only the cycles since the last ResetStats.
-	clock uint64
-
-	stats Stats
+	st State
 }
 
 // New wires a core. dc may be nil (no data-side modelling).
@@ -258,47 +194,50 @@ func New(cfg Config, ftq *fdip.FTQ, ic icache.Frontend, dc *mem.DataCache) *Core
 	}
 	return &Core{
 		cfg: cfg, ftq: ftq, ic: ic, dc: dc,
-		rob: make([]robEntry, cfg.ROBSize),
-		// The decode FIFO's backing array covers its worst-case occupancy
-		// (fetch stops pushing at DecodeQueue, plus one in-flight fetch
-		// chunk), so pushDecode's compact-in-place keeps every steady-state
-		// push within this capacity — the queue never reallocates.
-		decode: make([]decodeItem, 0, cfg.DecodeQueue+cfg.FetchWidth),
-		busy:   inflight{heap: make([]inflightEntry, 0, cfg.ROBSize)},
+		st: State{
+			ROB: make([]ROBEntry, cfg.ROBSize),
+			// The decode FIFO's backing array covers its worst-case
+			// occupancy (fetch stops pushing at DecodeQueue, plus one
+			// in-flight fetch chunk), so pushDecode's compact-in-place
+			// keeps every steady-state push within this capacity — the
+			// queue never reallocates.
+			Decode: make([]DecodeItem, 0, cfg.DecodeQueue+cfg.FetchWidth),
+			Busy:   Inflight{Heap: make([]InflightEntry, 0, cfg.ROBSize)},
+		},
 	}
 }
 
 // Stats returns the accumulated statistics.
-func (c *Core) Stats() Stats { return c.stats }
+func (c *Core) Stats() Stats { return c.st.Stats }
 
 // ResetStats clears timing statistics (end of warmup) without touching
 // microarchitectural state or the monotonic clock.
-func (c *Core) ResetStats() { c.stats = Stats{} }
+func (c *Core) ResetStats() { c.st.Stats = Stats{} }
 
 // Clock returns the monotonic cycle count since construction.
-func (c *Core) Clock() uint64 { return c.clock }
+func (c *Core) Clock() uint64 { return c.st.Clock }
 
 // Cycle advances the model by one clock.
 //
 //ubs:hotpath
 func (c *Core) Cycle() {
-	now := c.clock
-	c.busy.expire(now)
+	now := c.st.Clock
+	c.st.Busy.expire(now)
 	c.commit(now)
 	c.dispatch(now)
 	c.fetch(now)
 	c.ftq.Fill(now)
 	c.resolveRedirect(now)
-	c.clock++
-	c.stats.Cycles++
+	c.st.Clock++
+	c.st.Stats.Cycles++
 }
 
 // Run executes until n instructions retire (or the trace ends). It
 // returns false if the trace ended first.
 func (c *Core) Run(n uint64) bool {
-	target := c.stats.Instructions + n
-	for c.stats.Instructions < target {
-		if c.ftq.SourceDone() && c.ftq.Len() == 0 && c.robCount == 0 && c.decodeLen() == 0 {
+	target := c.st.Stats.Instructions + n
+	for c.st.Stats.Instructions < target {
+		if c.ftq.SourceDone() && c.ftq.Len() == 0 && c.st.ROBCount == 0 && c.decodeLen() == 0 {
 			return false
 		}
 		c.Cycle()
@@ -312,8 +251,8 @@ func (c *Core) Run(n uint64) bool {
 // cycle-bounded slices — the heartbeat/cancellation windows of package
 // sim — and returns false if the trace ended first.
 func (c *Core) RunUntil(instructions, cycleCeil uint64) bool {
-	for c.stats.Instructions < instructions && c.stats.Cycles < cycleCeil {
-		if c.ftq.SourceDone() && c.ftq.Len() == 0 && c.robCount == 0 && c.decodeLen() == 0 {
+	for c.st.Stats.Instructions < instructions && c.st.Stats.Cycles < cycleCeil {
+		if c.ftq.SourceDone() && c.ftq.Len() == 0 && c.st.ROBCount == 0 && c.decodeLen() == 0 {
 			return false
 		}
 		c.Cycle()
@@ -325,33 +264,33 @@ func (c *Core) RunUntil(instructions, cycleCeil uint64) bool {
 //
 //ubs:hotpath
 func (c *Core) commit(now uint64) {
-	for n := 0; n < c.cfg.CommitWidth && c.robCount > 0; n++ {
-		e := &c.rob[c.robHead]
-		if e.done > now {
+	for n := 0; n < c.cfg.CommitWidth && c.st.ROBCount > 0; n++ {
+		e := &c.st.ROB[c.st.ROBHead]
+		if e.Done > now {
 			return
 		}
-		c.stats.Instructions++
-		c.robHead = (c.robHead + 1) % c.cfg.ROBSize
-		c.robCount--
+		c.st.Stats.Instructions++
+		c.st.ROBHead = (c.st.ROBHead + 1) % c.cfg.ROBSize
+		c.st.ROBCount--
 	}
 }
 
 // decodeLen returns the decode-queue occupancy.
-func (c *Core) decodeLen() int { return len(c.decode) - c.decodeHead }
+func (c *Core) decodeLen() int { return len(c.st.Decode) - c.st.DecodeHead }
 
 // pushDecode enqueues d. When the buffer runs out of spare capacity it
 // compacts the live window to the front instead of growing, so the
 // steady-state fetch/dispatch cycle never reallocates.
 //
 //ubs:hotpath
-func (c *Core) pushDecode(d decodeItem) {
-	if c.decodeHead > 0 && len(c.decode) == cap(c.decode) {
-		n := copy(c.decode, c.decode[c.decodeHead:])
-		c.decode = c.decode[:n]
-		c.decodeHead = 0
+func (c *Core) pushDecode(d DecodeItem) {
+	if c.st.DecodeHead > 0 && len(c.st.Decode) == cap(c.st.Decode) {
+		n := copy(c.st.Decode, c.st.Decode[c.st.DecodeHead:])
+		c.st.Decode = c.st.Decode[:n]
+		c.st.DecodeHead = 0
 	}
 	//ubs:allowalloc compact-in-place above keeps this push within capacity at steady state
-	c.decode = append(c.decode, d)
+	c.st.Decode = append(c.st.Decode, d)
 }
 
 // popDecode drops the queue head, rewinding to the start of the backing
@@ -359,16 +298,16 @@ func (c *Core) pushDecode(d decodeItem) {
 //
 //ubs:hotpath
 func (c *Core) popDecode() {
-	c.decodeHead++
-	if c.decodeHead == len(c.decode) {
-		c.decode = c.decode[:0]
-		c.decodeHead = 0
+	c.st.DecodeHead++
+	if c.st.DecodeHead == len(c.st.Decode) {
+		c.st.Decode = c.st.Decode[:0]
+		c.st.DecodeHead = 0
 	}
 }
 
 // dispatch moves instructions from the decode queue into the ROB,
 // computing their completion times. Scheduler/LQ/SQ occupancy comes from
-// the incrementally maintained counters in c.busy (expired at the top of
+// the incrementally maintained counters in c.st.Busy (expired at the top of
 // Cycle), not from scanning the ROB.
 //
 //ubs:hotpath
@@ -377,28 +316,28 @@ func (c *Core) dispatch(now uint64) {
 		return
 	}
 	width := c.cfg.DecodeWidth
-	for width > 0 && c.decodeLen() > 0 && c.robCount < c.cfg.ROBSize {
-		d := &c.decode[c.decodeHead]
-		if d.readyAt > now || c.busy.sched >= c.cfg.SchedSize {
+	for width > 0 && c.decodeLen() > 0 && c.st.ROBCount < c.cfg.ROBSize {
+		d := &c.st.Decode[c.st.DecodeHead]
+		if d.ReadyAt > now || c.st.Busy.Sched >= c.cfg.SchedSize {
 			return
 		}
-		in := &d.item.In
-		if in.Class == trace.ClassLoad && c.busy.loads >= c.cfg.LQSize {
+		in := &d.Item.In
+		if in.Class == trace.ClassLoad && c.st.Busy.Loads >= c.cfg.LQSize {
 			return
 		}
-		if in.Class == trace.ClassStore && c.busy.stores >= c.cfg.SQSize {
+		if in.Class == trace.ClassStore && c.st.Busy.Stores >= c.cfg.SQSize {
 			return
 		}
 		// Operand readiness from producer distances.
 		ready := now
 		for _, dep := range [2]uint16{in.Dep1, in.Dep2} {
-			if dep == 0 || uint64(dep) > c.seq {
+			if dep == 0 || uint64(dep) > c.st.Seq {
 				continue
 			}
-			if uint64(dep) >= uint64(len(c.doneRing)) {
+			if uint64(dep) >= uint64(len(c.st.DoneRing)) {
 				continue
 			}
-			pd := c.doneRing[(c.seq-uint64(dep))%uint64(len(c.doneRing))]
+			pd := c.st.DoneRing[(c.st.Seq-uint64(dep))%uint64(len(c.st.DoneRing))]
 			if pd > ready {
 				ready = pd
 			}
@@ -416,37 +355,37 @@ func (c *Core) dispatch(now uint64) {
 			} else {
 				done = ready + 5
 			}
-			c.stats.Loads++
+			c.st.Stats.Loads++
 		case trace.ClassStore:
 			if c.dc != nil && !c.dc.Store(in.MemAddr, ready, ctx) {
 				return
 			}
 			done = ready + 1
-			c.stats.Stores++
+			c.st.Stats.Stores++
 		default:
 			done = ready + 1
 			if in.Class.IsBranch() {
-				c.stats.Branches++
+				c.st.Stats.Branches++
 			}
 		}
 		if done <= now {
 			done = now + 1
 		}
-		e := &c.rob[(c.robHead+c.robCount)%c.cfg.ROBSize]
-		*e = robEntry{
-			done:       done,
-			seq:        c.seq,
-			isLoad:     in.Class == trace.ClassLoad,
-			isStore:    in.Class == trace.ClassStore,
-			mispredict: d.item.Mispredict,
+		e := &c.st.ROB[(c.st.ROBHead+c.st.ROBCount)%c.cfg.ROBSize]
+		*e = ROBEntry{
+			Done:       done,
+			Seq:        c.st.Seq,
+			IsLoad:     in.Class == trace.ClassLoad,
+			IsStore:    in.Class == trace.ClassStore,
+			Mispredict: d.Item.Mispredict,
 		}
-		c.doneRing[c.seq%uint64(len(c.doneRing))] = done
-		c.seq++
-		c.robCount++
-		c.busy.add(done, e.isLoad, e.isStore)
-		if d.item.Mispredict {
+		c.st.DoneRing[c.st.Seq%uint64(len(c.st.DoneRing))] = done
+		c.st.Seq++
+		c.st.ROBCount++
+		c.st.Busy.add(done, e.IsLoad, e.IsStore)
+		if d.Item.Mispredict {
 			// The redirect reaches fetch when the branch executes.
-			c.redirectAt = done + c.cfg.RedirectLat
+			c.st.RedirectAt = done + c.cfg.RedirectLat
 		}
 		c.popDecode()
 		width--
@@ -456,9 +395,9 @@ func (c *Core) dispatch(now uint64) {
 // resolveRedirect unblocks the front end once a mispredicted branch has
 // executed.
 func (c *Core) resolveRedirect(now uint64) {
-	if c.waitMispredict && c.redirectAt != 0 && now >= c.redirectAt {
-		c.waitMispredict = false
-		c.redirectAt = 0
+	if c.st.WaitMispredict && c.st.RedirectAt != 0 && now >= c.st.RedirectAt {
+		c.st.WaitMispredict = false
+		c.st.RedirectAt = 0
 		c.ftq.Resume()
 	}
 }
@@ -470,11 +409,11 @@ func (c *Core) resolveRedirect(now uint64) {
 //
 //ubs:hotpath
 func (c *Core) fetch(now uint64) {
-	if c.fetchBlocked > now {
-		c.stall(c.blockReason)
+	if c.st.FetchBlocked > now {
+		c.stall(c.st.BlockReason)
 		return
 	}
-	if c.waitMispredict {
+	if c.st.WaitMispredict {
 		c.stall(StallMispredict)
 		return
 	}
@@ -542,26 +481,26 @@ func (c *Core) fetch(now uint64) {
 	case r.Kind == icache.Hit:
 		for i := 0; i < count; i++ {
 			it := c.ftq.Peek(i)
-			c.pushDecode(decodeItem{
-				item:    *it,
-				readyAt: now + c.ic.Latency() + c.cfg.DecodeLat,
+			c.pushDecode(DecodeItem{
+				Item:    *it,
+				ReadyAt: now + c.ic.Latency() + c.cfg.DecodeLat,
 			})
 		}
 		c.ftq.Pop(count)
-		c.stats.Delivered += uint64(count)
+		c.st.Stats.Delivered += uint64(count)
 		if endsMispredict {
-			c.waitMispredict = true
+			c.st.WaitMispredict = true
 		}
 		if endsResteer {
-			c.fetchBlocked = now + c.cfg.ResteerLat
-			c.blockReason = StallResteer
+			c.st.FetchBlocked = now + c.cfg.ResteerLat
+			c.st.BlockReason = StallResteer
 		}
 	case !r.Issued:
 		// MSHR full: retry next cycle; this is an instruction-supply stall.
 		c.stall(StallICache)
 	default:
-		c.fetchBlocked = r.Complete
-		c.blockReason = StallICache
+		c.st.FetchBlocked = r.Complete
+		c.st.BlockReason = StallICache
 		c.stall(StallICache)
 	}
 }
@@ -592,38 +531,38 @@ func (c *Core) fetchRange(start uint64, bytes int, now uint64) icache.Result {
 
 //ubs:hotpath
 func (c *Core) stall(r StallReason) {
-	c.stats.Stalls[r]++
+	c.st.Stats.Stalls[r]++
 }
 
 // Validate checks internal consistency; tests call it after runs.
 func (c *Core) Validate() error {
-	if c.robCount < 0 || c.robCount > c.cfg.ROBSize {
-		return fmt.Errorf("core: ROB count %d out of range", c.robCount)
+	if c.st.ROBCount < 0 || c.st.ROBCount > c.cfg.ROBSize {
+		return fmt.Errorf("core: ROB count %d out of range", c.st.ROBCount)
 	}
-	if c.busy.sched != len(c.busy.heap) {
+	if c.st.Busy.Sched != len(c.st.Busy.Heap) {
 		return fmt.Errorf("core: inflight count %d disagrees with heap size %d",
-			c.busy.sched, len(c.busy.heap))
+			c.st.Busy.Sched, len(c.st.Busy.Heap))
 	}
-	if cap(c.busy.heap) != c.cfg.ROBSize {
+	if cap(c.st.Busy.Heap) != c.cfg.ROBSize {
 		return fmt.Errorf("core: inflight heap capacity %d, want ROB size %d",
-			cap(c.busy.heap), c.cfg.ROBSize)
+			cap(c.st.Busy.Heap), c.cfg.ROBSize)
 	}
 	loads, stores := 0, 0
-	for i := range c.busy.heap {
-		if c.busy.heap[i].isLoad {
+	for i := range c.st.Busy.Heap {
+		if c.st.Busy.Heap[i].IsLoad {
 			loads++
 		}
-		if c.busy.heap[i].isStore {
+		if c.st.Busy.Heap[i].IsStore {
 			stores++
 		}
 	}
-	if loads != c.busy.loads || stores != c.busy.stores {
+	if loads != c.st.Busy.Loads || stores != c.st.Busy.Stores {
 		return fmt.Errorf("core: inflight load/store counters %d/%d disagree with heap %d/%d",
-			c.busy.loads, c.busy.stores, loads, stores)
+			c.st.Busy.Loads, c.st.Busy.Stores, loads, stores)
 	}
-	if c.busy.sched > c.robCount {
+	if c.st.Busy.Sched > c.st.ROBCount {
 		return fmt.Errorf("core: %d in-flight instructions exceed ROB occupancy %d",
-			c.busy.sched, c.robCount)
+			c.st.Busy.Sched, c.st.ROBCount)
 	}
 	return nil
 }

@@ -1,12 +1,8 @@
 package core
 
-import (
-	"fmt"
+import "ubscache/internal/fdip"
 
-	"ubscache/internal/fdip"
-)
-
-// ROBEntry is the exported image of one reorder buffer slot.
+// ROBEntry is one in-flight instruction.
 type ROBEntry struct {
 	Done       uint64
 	Seq        uint64
@@ -15,127 +11,68 @@ type ROBEntry struct {
 	Mispredict bool
 }
 
-// DecodeItem is the exported image of one instruction between fetch and
-// dispatch.
+// DecodeItem is an instruction between fetch and dispatch.
 type DecodeItem struct {
 	Item    fdip.Item
 	ReadyAt uint64
 }
 
-// InflightEntry is the exported image of one entry in the completion
-// min-heap.
+// InflightEntry is one dispatched-but-incomplete instruction in the
+// completion heap: its completion cycle plus the queue resources it holds.
 type InflightEntry struct {
 	Done    uint64
 	IsLoad  bool
 	IsStore bool
 }
 
-// State is the checkpointable image of the core backend and its
-// front-end redirect machinery. The ROB is captured as the full raw
-// ring (head/count index into it); the completion heap is captured in
-// raw heap order, which a straight copy preserves. The clock is the
-// machine's monotonic time base — every completion cycle in every layer
-// is an absolute cycle number against it — so it is part of the state,
-// not of the stats.
+// Inflight maintains the scheduler/LQ/SQ occupancy incrementally: counters
+// rise at dispatch and fall when the clock passes each instruction's
+// completion cycle. A fixed-capacity min-heap on completion time (capacity
+// ROBSize, sized at construction — the same shape as the memory system's
+// MSHR file) orders the expiries, replacing the per-cycle O(ROB) occupancy
+// scan the dispatch stage previously performed. The counters are, by
+// construction, exactly |{e in ROB : e.Done > now}| split by class: entries
+// enter at dispatch (Done is always > now then) and commit only removes
+// entries whose completion already expired here.
+type Inflight struct {
+	Heap   []InflightEntry `snap:"queue"`
+	Sched  int
+	Loads  int
+	Stores int
+}
+
+// State is the core backend's mutable state and its front-end redirect
+// machinery. The clock is the machine's monotonic time base — every
+// completion cycle in every layer is an absolute cycle number against
+// it — so it is part of the state, not of the stats.
 //
 //ubs:state
 type State struct {
+	// ROB is a ring of ROBSize entries; ROBHead and ROBCount index it.
 	ROB      []ROBEntry
 	ROBHead  int
 	ROBCount int
-	Decode   []DecodeItem
-	Inflight []InflightEntry
-	Sched    int
-	Loads    int
-	Stores   int
+	// Decode is a head-indexed FIFO: Decode[DecodeHead:] is live.
+	// Draining by advancing the head (not re-slicing) keeps the backing
+	// array reusable, so steady state performs no allocations.
+	Decode     []DecodeItem `snap:"queue"`
+	DecodeHead int
+	// Busy tracks scheduler/LQ/SQ occupancy incrementally (see Inflight).
+	Busy     Inflight
 	Seq      uint64
-	DoneRing [512]uint64
+	DoneRing [512]uint64 // completion cycles by sequence number
+
 	// Front-end redirect state.
 	WaitMispredict bool
-	RedirectAt     uint64
-	FetchBlocked   uint64
-	BlockReason    StallReason
-	Clock          uint64
-	Stats          Stats
+	RedirectAt     uint64      // 0 = resolution cycle unknown yet
+	FetchBlocked   uint64      // fetch stalls until this cycle
+	BlockReason    StallReason // why fetch is blocked until FetchBlocked
+
+	// Clock is the monotonic cycle counter. It is never reset;
+	// Stats.Cycles counts only the cycles since the last ResetStats.
+	Clock uint64
+	Stats Stats
 }
 
-// Snapshot copies the core's mutable state into dst, reusing dst's
-// backing storage where it is already the right size.
-func (c *Core) Snapshot(dst *State) {
-	if cap(dst.ROB) < len(c.rob) {
-		dst.ROB = make([]ROBEntry, len(c.rob))
-	}
-	dst.ROB = dst.ROB[:len(c.rob)]
-	for i, e := range c.rob {
-		dst.ROB[i] = ROBEntry{Done: e.done, Seq: e.seq, IsLoad: e.isLoad, IsStore: e.isStore, Mispredict: e.mispredict}
-	}
-	dst.ROBHead = c.robHead
-	dst.ROBCount = c.robCount
-	live := c.decode[c.decodeHead:]
-	if cap(dst.Decode) < len(live) {
-		dst.Decode = make([]DecodeItem, len(live))
-	}
-	dst.Decode = dst.Decode[:len(live)]
-	for i, d := range live {
-		dst.Decode[i] = DecodeItem{Item: d.item, ReadyAt: d.readyAt}
-	}
-	if cap(dst.Inflight) < len(c.busy.heap) {
-		dst.Inflight = make([]InflightEntry, len(c.busy.heap))
-	}
-	dst.Inflight = dst.Inflight[:len(c.busy.heap)]
-	for i, e := range c.busy.heap {
-		dst.Inflight[i] = InflightEntry{Done: e.done, IsLoad: e.isLoad, IsStore: e.isStore}
-	}
-	dst.Sched = c.busy.sched
-	dst.Loads = c.busy.loads
-	dst.Stores = c.busy.stores
-	dst.Seq = c.seq
-	dst.DoneRing = c.doneRing
-	dst.WaitMispredict = c.waitMispredict
-	dst.RedirectAt = c.redirectAt
-	dst.FetchBlocked = c.fetchBlocked
-	dst.BlockReason = c.blockReason
-	dst.Clock = c.clock
-	dst.Stats = c.stats
-}
-
-// Restore installs a previously captured State into a core of the same
-// configuration, copying into the pre-sized backings so the steady-state
-// capacity invariants (Validate) keep holding afterwards.
-func (c *Core) Restore(src *State) error {
-	if len(src.ROB) != len(c.rob) {
-		return fmt.Errorf("core: snapshot ROB has %d slots, core has %d", len(src.ROB), len(c.rob))
-	}
-	if len(src.Decode) > cap(c.decode) {
-		return fmt.Errorf("core: snapshot decode window %d exceeds queue capacity %d", len(src.Decode), cap(c.decode))
-	}
-	if len(src.Inflight) > cap(c.busy.heap) {
-		return fmt.Errorf("core: snapshot inflight heap %d exceeds capacity %d", len(src.Inflight), cap(c.busy.heap))
-	}
-	for i, e := range src.ROB {
-		c.rob[i] = robEntry{done: e.Done, seq: e.Seq, isLoad: e.IsLoad, isStore: e.IsStore, mispredict: e.Mispredict}
-	}
-	c.robHead = src.ROBHead
-	c.robCount = src.ROBCount
-	c.decode = c.decode[:0]
-	for _, d := range src.Decode {
-		c.decode = append(c.decode, decodeItem{item: d.Item, readyAt: d.ReadyAt})
-	}
-	c.decodeHead = 0
-	c.busy.heap = c.busy.heap[:0]
-	for _, e := range src.Inflight {
-		c.busy.heap = append(c.busy.heap, inflightEntry{done: e.Done, isLoad: e.IsLoad, isStore: e.IsStore})
-	}
-	c.busy.sched = src.Sched
-	c.busy.loads = src.Loads
-	c.busy.stores = src.Stores
-	c.seq = src.Seq
-	c.doneRing = src.DoneRing
-	c.waitMispredict = src.WaitMispredict
-	c.redirectAt = src.RedirectAt
-	c.fetchBlocked = src.FetchBlocked
-	c.blockReason = src.BlockReason
-	c.clock = src.Clock
-	c.stats = src.Stats
-	return nil
-}
+// State returns the core's live state.
+func (c *Core) State() *State { return &c.st }

@@ -63,22 +63,7 @@ type FTQ struct {
 	bp  *bpu.BPU
 	ic  icache.Frontend
 
-	queue   []Item
-	head    int
-	regions int
-
-	// Absolute item counters for the prefetch window.
-	consumedTot uint64
-	enqueuedTot uint64
-	prefCursor  uint64
-
-	// blocked: a mispredicted branch was enqueued; the runahead halts
-	// until Resume.
-	blocked bool
-	// sourceDone: the trace ended.
-	sourceDone bool
-
-	stats Stats
+	st State
 }
 
 // New builds an FTQ over the given trace source, BPU and L1-I frontend.
@@ -90,54 +75,54 @@ func New(cfg Config, src trace.Source, bp *bpu.BPU, ic icache.Frontend) *FTQ {
 	// (MaxInstrs) plus an equal dead prefix, so push's compact-in-place
 	// recycles it forever: the queue never reallocates after construction.
 	return &FTQ{cfg: cfg, src: src, bp: bp, ic: ic,
-		queue: make([]Item, 0, 2*cfg.MaxInstrs)}
+		st: State{Queue: make([]Item, 0, 2*cfg.MaxInstrs)}}
 }
 
 // Stats returns the accumulated counters.
-func (f *FTQ) Stats() Stats { return f.stats }
+func (f *FTQ) Stats() Stats { return f.st.Stats }
 
 // Blocked reports whether the runahead is halted on a mispredict.
-func (f *FTQ) Blocked() bool { return f.blocked }
+func (f *FTQ) Blocked() bool { return f.st.Blocked }
 
 // SourceDone reports trace exhaustion.
-func (f *FTQ) SourceDone() bool { return f.sourceDone }
+func (f *FTQ) SourceDone() bool { return f.st.SourceDone }
 
 // Len returns the number of queued instructions.
-func (f *FTQ) Len() int { return len(f.queue) - f.head }
+func (f *FTQ) Len() int { return len(f.st.Queue) - f.st.Head }
 
 // Peek returns the i-th queued item without consuming it.
 //
 //ubs:hotpath
 func (f *FTQ) Peek(i int) *Item {
-	if f.head+i >= len(f.queue) {
+	if f.st.Head+i >= len(f.st.Queue) {
 		return nil
 	}
-	return &f.queue[f.head+i]
+	return &f.st.Queue[f.st.Head+i]
 }
 
 // Pop consumes n items from the head.
 //
 //ubs:hotpath
 func (f *FTQ) Pop(n int) {
-	if f.head+n > len(f.queue) {
+	if f.st.Head+n > len(f.st.Queue) {
 		panic("fdip: pop past queue end")
 	}
 	for i := 0; i < n; i++ {
-		if f.queue[f.head+i].In.TakenBranch() {
-			f.regions--
+		if f.st.Queue[f.st.Head+i].In.TakenBranch() {
+			f.st.Regions--
 		}
 	}
-	f.head += n
-	f.consumedTot += uint64(n)
-	if f.prefCursor < f.consumedTot {
-		f.prefCursor = f.consumedTot
+	f.st.Head += n
+	f.st.ConsumedTot += uint64(n)
+	if f.st.PrefCursor < f.st.ConsumedTot {
+		f.st.PrefCursor = f.st.ConsumedTot
 	}
-	if f.head == len(f.queue) {
+	if f.st.Head == len(f.st.Queue) {
 		// Drained: rewind to the start of the backing array, zeroing the
 		// consumed items so they cannot linger or be resurrected.
-		clear(f.queue)
-		f.queue = f.queue[:0]
-		f.head = 0
+		clear(f.st.Queue)
+		f.st.Queue = f.st.Queue[:0]
+		f.st.Head = 0
 	}
 }
 
@@ -148,19 +133,19 @@ func (f *FTQ) Pop(n int) {
 //
 //ubs:hotpath
 func (f *FTQ) push(item Item) {
-	if f.head > 0 && len(f.queue) == cap(f.queue) {
-		live := copy(f.queue, f.queue[f.head:])
-		clear(f.queue[live:])
-		f.queue = f.queue[:live]
-		f.head = 0
+	if f.st.Head > 0 && len(f.st.Queue) == cap(f.st.Queue) {
+		live := copy(f.st.Queue, f.st.Queue[f.st.Head:])
+		clear(f.st.Queue[live:])
+		f.st.Queue = f.st.Queue[:live]
+		f.st.Head = 0
 	}
 	//ubs:allowalloc compact-in-place above keeps this push within the pre-sized capacity
-	f.queue = append(f.queue, item)
+	f.st.Queue = append(f.st.Queue, item)
 }
 
 // Resume restarts the runahead after the core resolved the mispredicted
 // branch at the FTQ's tail.
-func (f *FTQ) Resume() { f.blocked = false }
+func (f *FTQ) Resume() { f.st.Blocked = false }
 
 // Fill runs the BPU ahead of fetch, enqueuing instructions and issuing
 // FDIP prefetches, until the FTQ is full, the runahead hits a mispredicted
@@ -168,15 +153,15 @@ func (f *FTQ) Resume() { f.blocked = false }
 //
 //ubs:hotpath
 func (f *FTQ) Fill(now uint64) {
-	if f.blocked {
-		f.stats.BlockedFills++
+	if f.st.Blocked {
+		f.st.Stats.BlockedFills++
 		f.issuePrefetches(now)
 		return
 	}
-	for f.regions < f.cfg.Regions && f.Len() < f.cfg.MaxInstrs && !f.blocked {
+	for f.st.Regions < f.cfg.Regions && f.Len() < f.cfg.MaxInstrs && !f.st.Blocked {
 		in, ok := f.src.Next()
 		if !ok {
-			f.sourceDone = true
+			f.st.SourceDone = true
 			break
 		}
 		item := Item{In: in}
@@ -186,14 +171,14 @@ func (f *FTQ) Fill(now uint64) {
 			item.Resteer = r.Resteer
 		}
 		f.push(item)
-		f.enqueuedTot++
-		f.stats.Enqueued++
+		f.st.EnqueuedTot++
+		f.st.Stats.Enqueued++
 		if in.TakenBranch() {
-			f.regions++
-			f.stats.Regions++
+			f.st.Regions++
+			f.st.Stats.Regions++
 		}
 		if item.Mispredict {
-			f.blocked = true
+			f.st.Blocked = true
 		}
 	}
 	f.issuePrefetches(now)
@@ -207,22 +192,22 @@ func (f *FTQ) issuePrefetches(now uint64) {
 	if !f.cfg.Prefetch {
 		return
 	}
-	limit := f.enqueuedTot
+	limit := f.st.EnqueuedTot
 	if f.cfg.PrefetchWindow > 0 {
-		if lim := f.consumedTot + uint64(f.cfg.PrefetchWindow); lim < limit {
+		if lim := f.st.ConsumedTot + uint64(f.cfg.PrefetchWindow); lim < limit {
 			limit = lim
 		}
 	}
-	for f.prefCursor < limit {
-		it := f.Peek(int(f.prefCursor - f.consumedTot))
+	for f.st.PrefCursor < limit {
+		it := f.Peek(int(f.st.PrefCursor - f.st.ConsumedTot))
 		f.prefetch(&it.In, now)
-		f.prefCursor++
+		f.st.PrefCursor++
 	}
 }
 
 // Regions returns the number of complete fetch regions currently queued
 // (a region ends at a predicted-taken branch).
-func (f *FTQ) Regions() int { return f.regions }
+func (f *FTQ) Regions() int { return f.st.Regions }
 
 // prefetch issues FDIP prefetches for the instruction's span, split at
 // 64B block boundaries. Every instruction's span is forwarded: frontends

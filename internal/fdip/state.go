@@ -1,53 +1,34 @@
 package fdip
 
-import "fmt"
-
-// State is the checkpointable image of the FTQ: the live queue window,
-// the absolute walk counters, and the walker flags. EnqueuedTot doubles
-// as the trace replay cursor — it counts exactly the successful
-// src.Next() calls, so a restored machine fast-forwards a fresh source
-// by that many instructions to land on the same next instruction.
+// State is the FTQ's mutable state: the queue with its head index, the
+// absolute walk counters, and the walker flags. EnqueuedTot doubles as
+// the trace replay cursor — it counts exactly the successful src.Next()
+// calls, so a restored machine fast-forwards a fresh source by that many
+// instructions to land on the same next instruction.
 //
 //ubs:state
 type State struct {
-	Queue       []Item
-	Regions     int
+	// Queue is a head-indexed FIFO: Queue[Head:] is live. Its backing
+	// array is allocated once, at construction.
+	Queue   []Item `snap:"queue"`
+	Head    int
+	Regions int
+
+	// Absolute item counters for the prefetch window.
 	ConsumedTot uint64
 	EnqueuedTot uint64
 	PrefCursor  uint64
-	Blocked     bool
-	SourceDone  bool
-	Stats       Stats
+
+	// Blocked: a mispredicted branch was enqueued; the runahead halts
+	// until Resume.
+	Blocked bool
+	// SourceDone: the trace ended.
+	SourceDone bool
+
+	Stats Stats
 }
 
-// Snapshot copies the FTQ's mutable state into dst. Only the live
-// window (head..tail) is captured; Restore rebuilds it at offset zero.
-func (f *FTQ) Snapshot(dst *State) {
-	dst.Queue = append(dst.Queue[:0], f.queue[f.head:]...)
-	dst.Regions = f.regions
-	dst.ConsumedTot = f.consumedTot
-	dst.EnqueuedTot = f.enqueuedTot
-	dst.PrefCursor = f.prefCursor
-	dst.Blocked = f.blocked
-	dst.SourceDone = f.sourceDone
-	dst.Stats = f.stats
-}
-
-// Restore installs a previously captured State into an FTQ of the same
-// configuration. The caller is responsible for positioning the trace
-// source at instruction EnqueuedTot (see sim.Machine.Restore).
-func (f *FTQ) Restore(src *State) error {
-	if len(src.Queue) > cap(f.queue) {
-		return fmt.Errorf("ftq: snapshot holds %d items, queue capacity is %d", len(src.Queue), cap(f.queue))
-	}
-	f.queue = append(f.queue[:0], src.Queue...)
-	f.head = 0
-	f.regions = src.Regions
-	f.consumedTot = src.ConsumedTot
-	f.enqueuedTot = src.EnqueuedTot
-	f.prefCursor = src.PrefCursor
-	f.blocked = src.Blocked
-	f.sourceDone = src.SourceDone
-	f.stats = src.Stats
-	return nil
-}
+// State returns the FTQ's live state. A restore leaves positioning the
+// trace source at instruction EnqueuedTot to the caller (see
+// sim.Machine.Restore).
+func (f *FTQ) State() *State { return &f.st }

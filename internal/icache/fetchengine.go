@@ -23,21 +23,22 @@ import (
 // and a prefetch is a single Prefetch call; the frontend installs the
 // block only when it reports true.
 type Engine struct {
-	eng   *mem.FetchEngine
-	stats Stats
+	eng *mem.FetchEngine
+	st  EngineState
 }
 
 // NewEngine builds an engine with an MSHR file of mshrs entries and the
 // given hit latency over hierarchy h.
 func NewEngine(mshrs int, lat uint64, h *mem.Hierarchy) *Engine {
-	return &Engine{eng: mem.NewFetchEngine(mshrs, lat, h)}
+	eng := mem.NewFetchEngine(mshrs, lat, h)
+	return &Engine{eng: eng, st: EngineState{MSHR: eng.File().State()}}
 }
 
 // Latency returns the hit latency in cycles (Frontend).
 func (e *Engine) Latency() uint64 { return e.eng.Latency() }
 
 // Stats returns the accumulated counters (Frontend).
-func (e *Engine) Stats() Stats { return e.stats }
+func (e *Engine) Stats() Stats { return e.st.Stats }
 
 // MSHRInFlight reports the live MSHR occupancy at cycle now (MSHROccupant).
 func (e *Engine) MSHRInFlight(now uint64) int { return e.eng.InFlight(now) }
@@ -50,10 +51,10 @@ func (e *Engine) MSHRInFlight(now uint64) int { return e.eng.InFlight(now) }
 //
 //ubs:hotpath
 func (e *Engine) Begin(block, now uint64) (r Result, merged bool) {
-	e.stats.Fetches++
+	e.st.Stats.Fetches++
 	if done, pending := e.eng.Pending(block, now); pending {
-		e.stats.Misses++
-		e.stats.ByKind[FullMiss]++
+		e.st.Stats.Misses++
+		e.st.Stats.ByKind[FullMiss]++
 		return Result{Kind: FullMiss, Complete: done, Issued: true}, true
 	}
 	return Result{}, false
@@ -63,8 +64,8 @@ func (e *Engine) Begin(block, now uint64) (r Result, merged bool) {
 //
 //ubs:hotpath
 func (e *Engine) Hit() Result {
-	e.stats.Hits++
-	e.stats.ByKind[Hit]++
+	e.st.Stats.Hits++
+	e.st.Stats.ByKind[Hit]++
 	return Result{Kind: Hit}
 }
 
@@ -78,11 +79,11 @@ func (e *Engine) Hit() Result {
 func (e *Engine) Miss(block uint64, kind Kind, now uint64, ctx cache.AccessContext) Result {
 	done, st := e.eng.Issue(block, now, ctx, true)
 	if st.Stalled() {
-		e.stats.MSHRStalls++
+		e.st.Stats.MSHRStalls++
 		return Result{Kind: kind, Issued: false}
 	}
-	e.stats.Misses++
-	e.stats.ByKind[kind]++
+	e.st.Stats.Misses++
+	e.st.Stats.ByKind[kind]++
 	return Result{Kind: kind, Complete: done, Issued: true}
 }
 
@@ -97,10 +98,10 @@ func (e *Engine) Prefetch(block, now uint64, ctx cache.AccessContext) bool {
 		return false
 	}
 	if _, st := e.eng.Issue(block, now, ctx, false); st.Stalled() {
-		e.stats.PrefetchDrops++
+		e.st.Stats.PrefetchDrops++
 		return false
 	}
-	e.stats.Prefetches++
+	e.st.Stats.Prefetches++
 	return true
 }
 

@@ -289,8 +289,8 @@ func TestDistillMovesWordsToWOC(t *testing.T) {
 	if r.Kind != Hit {
 		t.Errorf("WOC fetch = %+v, want hit", r)
 	}
-	if d.WOCHits != 1 {
-		t.Errorf("WOCHits = %d", d.WOCHits)
+	if d.st.WOCHits != 1 {
+		t.Errorf("WOCHits = %d", d.st.WOCHits)
 	}
 	// But an untouched word of A is gone.
 	r2 := d.Fetch(0x0020, 8, now+1)

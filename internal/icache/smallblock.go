@@ -14,9 +14,9 @@ import (
 // supplies the miss path and the Stats/Latency/MSHRInFlight surface.
 type SmallBlock struct {
 	*Engine
-	cfg    SmallBlockConfig
-	c      *cache.Cache
-	buffer *fillBuffer
+	cfg SmallBlockConfig
+	c   *cache.Cache
+	st  SmallBlockState
 
 	// chunkScratch is the reusable backing array for chunks: fetch ranges
 	// stay within one 64B block (the frontend contract), so the per-fetch
@@ -53,33 +53,25 @@ func SmallBlock32() SmallBlockConfig {
 		Sets: 128, Ways: 8, Lat: 4, MSHRs: 8, BufferCap: 32}
 }
 
-// fillBuffer holds recently fetched 64B blocks so that chunks other than
-// the requested one can migrate into the small-block array on demand.
-type fillBuffer struct {
-	blocks []uint64 // 64B block addresses, FIFO
-	pos    int
-	cap    int
-}
-
-func (f *fillBuffer) insert(block uint64) {
-	if f.cap == 0 {
+// insertBuffer parks a fetched 64B block in the fill buffer, which holds
+// recently fetched blocks so that chunks other than the requested one
+// can migrate into the small-block array on demand.
+func (sb *SmallBlock) insertBuffer(block uint64) {
+	f := &sb.st.Buffer
+	if sb.cfg.BufferCap == 0 || sb.inBuffer(block) {
 		return
 	}
-	for _, b := range f.blocks {
-		if b == block {
-			return
-		}
-	}
-	if len(f.blocks) < f.cap {
-		f.blocks = append(f.blocks, block)
+	if len(f.Blocks) < sb.cfg.BufferCap {
+		f.Blocks = append(f.Blocks, block)
 		return
 	}
-	f.blocks[f.pos] = block
-	f.pos = (f.pos + 1) % f.cap
+	f.Blocks[f.Pos] = block
+	f.Pos = (f.Pos + 1) % sb.cfg.BufferCap
 }
 
-func (f *fillBuffer) contains(block uint64) bool {
-	for _, b := range f.blocks {
+// inBuffer reports whether the fill buffer holds block.
+func (sb *SmallBlock) inBuffer(block uint64) bool {
+	for _, b := range sb.st.Buffer.Blocks {
 		if b == block {
 			return true
 		}
@@ -98,12 +90,15 @@ func NewSmallBlock(cfg SmallBlockConfig, h *mem.Hierarchy) (*SmallBlock, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &SmallBlock{
-		Engine: NewEngine(cfg.MSHRs, cfg.Lat, h),
-		cfg:    cfg, c: c,
-		buffer:       &fillBuffer{cap: cfg.BufferCap},
+	sb := &SmallBlock{
+		Engine:       NewEngine(cfg.MSHRs, cfg.Lat, h),
+		cfg:          cfg,
+		c:            c,
 		chunkScratch: make([]uint64, 0, 64/cfg.BlockSize+1),
-	}, nil
+	}
+	sb.st = SmallBlockState{Engine: sb.Engine.State(), Cache: c.State(),
+		Buffer: FillBufferState{Blocks: make([]uint64, 0, cfg.BufferCap)}}
+	return sb, nil
 }
 
 // Name identifies the design.
@@ -147,7 +142,7 @@ func (sb *SmallBlock) Fetch(addr uint64, size int, now uint64) Result {
 	for _, ch := range sb.chunks(addr, size) {
 		if _, _, hit := sb.c.Probe(ch); !hit {
 			// The 64B fill buffer can supply the chunk instantly.
-			if sb.buffer.contains(block64) {
+			if sb.inBuffer(block64) {
 				sb.c.Fill(ch, ctx)
 				continue
 			}
@@ -169,7 +164,7 @@ func (sb *SmallBlock) Fetch(addr uint64, size int, now uint64) Result {
 	if !r.Issued {
 		return r
 	}
-	sb.buffer.insert(block64)
+	sb.insertBuffer(block64)
 	for _, ch := range sb.chunks(addr, size) {
 		sb.c.Fill(ch, ctx)
 	}
@@ -196,7 +191,7 @@ func (sb *SmallBlock) markRange(addr uint64, size int) {
 // buffer only (per §VI-G), not into the L1 array.
 func (sb *SmallBlock) Prefetch(addr uint64, size int, now uint64) {
 	block64 := addr &^ 63
-	if sb.buffer.contains(block64) {
+	if sb.inBuffer(block64) {
 		return
 	}
 	if _, pending := sb.Pending(block64, now); pending {
@@ -215,6 +210,6 @@ func (sb *SmallBlock) Prefetch(addr uint64, size int, now uint64) {
 	}
 	ctx := cache.AccessContext{PC: addr, Cycle: now, Prefetch: true}
 	if sb.Engine.Prefetch(block64, now, ctx) {
-		sb.buffer.insert(block64)
+		sb.insertBuffer(block64)
 	}
 }

@@ -1,8 +1,6 @@
 package icache
 
 import (
-	"fmt"
-
 	"ubscache/internal/cache"
 	"ubscache/internal/mem"
 	"ubscache/internal/snap"
@@ -18,240 +16,95 @@ type Checkpointable interface {
 	RestoreState(data []byte) error
 }
 
-// EngineState captures the shared fetch-engine substrate every frontend
+// EngineState is the shared fetch-engine substrate every frontend
 // embeds: the L1-I MSHR file and the fetch counters.
 //
 //ubs:state
 type EngineState struct {
-	MSHR  mem.MSHRState
+	MSHR  *mem.MSHRState
 	Stats Stats
 }
 
-// Snapshot copies the engine's mutable state into dst.
-func (e *Engine) Snapshot(dst *EngineState) {
-	e.eng.File().Snapshot(&dst.MSHR)
-	dst.Stats = e.stats
-}
+// State returns the engine's live state.
+func (e *Engine) State() *EngineState { return &e.st }
 
-// Restore installs a previously captured EngineState.
-func (e *Engine) Restore(src *EngineState) error {
-	e.stats = src.Stats
-	return e.eng.File().Restore(&src.MSHR)
-}
-
-// ACICState is the exported image of the ACIC admission filter.
+// ACICState is the ACIC admission filter (see newACIC): 2-bit admission
+// counters and the FIFO bypass buffer.
 type ACICState struct {
 	Table  []uint8
-	Bypass []uint64
+	Bypass []uint64 `snap:"queue"`
 	Pos    int
 }
 
-// ConventionalState captures the conventional frontend: engine, cache
+// ConventionalState is the conventional frontend's state: engine, cache
 // array, and (when the design enables it) the ACIC admission filter.
 //
 //ubs:state
 type ConventionalState struct {
-	Engine EngineState
-	Cache  cache.State
+	Engine *EngineState
+	Cache  *cache.State
 	ACIC   *ACICState
 }
 
-// Snapshot copies the frontend's mutable state into dst.
-func (cv *Conventional) Snapshot(dst *ConventionalState) {
-	cv.Engine.Snapshot(&dst.Engine)
-	cv.c.Snapshot(&dst.Cache)
-	if cv.acic == nil {
-		dst.ACIC = nil
-		return
-	}
-	if dst.ACIC == nil {
-		dst.ACIC = &ACICState{}
-	}
-	dst.ACIC.Table = append(dst.ACIC.Table[:0], cv.acic.table...)
-	dst.ACIC.Bypass = append(dst.ACIC.Bypass[:0], cv.acic.bypass...)
-	dst.ACIC.Pos = cv.acic.pos
-}
-
-// Restore installs a previously captured ConventionalState.
-func (cv *Conventional) Restore(src *ConventionalState) error {
-	if err := cv.Engine.Restore(&src.Engine); err != nil {
-		return err
-	}
-	if err := cv.c.Restore(&src.Cache); err != nil {
-		return err
-	}
-	if (src.ACIC == nil) != (cv.acic == nil) {
-		return fmt.Errorf("icache conv: snapshot and design disagree on ACIC presence")
-	}
-	if cv.acic != nil {
-		if len(src.ACIC.Table) != len(cv.acic.table) {
-			return fmt.Errorf("icache conv: ACIC table size mismatch")
-		}
-		copy(cv.acic.table, src.ACIC.Table)
-		cv.acic.bypass = append(cv.acic.bypass[:0], src.ACIC.Bypass...)
-		cv.acic.pos = src.ACIC.Pos
-	}
-	return nil
-}
-
 // SnapshotState implements Checkpointable.
-func (cv *Conventional) SnapshotState() ([]byte, error) {
-	var st ConventionalState
-	cv.Snapshot(&st)
-	return snap.Marshal(&st)
-}
+func (cv *Conventional) SnapshotState() ([]byte, error) { return snap.Marshal(&cv.st) }
 
 // RestoreState implements Checkpointable.
-func (cv *Conventional) RestoreState(data []byte) error {
-	var st ConventionalState
-	if err := snap.Unmarshal(data, &st); err != nil {
-		return err
-	}
-	return cv.Restore(&st)
-}
+func (cv *Conventional) RestoreState(data []byte) error { return snap.RestoreBytes(&cv.st, data) }
 
-// FillBufferState is the exported image of the small-block fill buffer.
+// FillBufferState is the small-block fill buffer: recently fetched 64B
+// block addresses, FIFO. Its capacity is SmallBlockConfig.BufferCap.
 type FillBufferState struct {
-	Blocks []uint64
+	Blocks []uint64 `snap:"queue"`
 	Pos    int
 }
 
-// SmallBlockState captures the small-block frontend: engine, cache
+// SmallBlockState is the small-block frontend's state: engine, cache
 // array, and the 64B fill buffer that batches sub-block fills.
 //
 //ubs:state
 type SmallBlockState struct {
-	Engine EngineState
-	Cache  cache.State
+	Engine *EngineState
+	Cache  *cache.State
 	Buffer FillBufferState
 }
 
-// Snapshot copies the frontend's mutable state into dst.
-func (sb *SmallBlock) Snapshot(dst *SmallBlockState) {
-	sb.Engine.Snapshot(&dst.Engine)
-	sb.c.Snapshot(&dst.Cache)
-	dst.Buffer.Blocks = append(dst.Buffer.Blocks[:0], sb.buffer.blocks...)
-	dst.Buffer.Pos = sb.buffer.pos
-}
-
-// Restore installs a previously captured SmallBlockState.
-func (sb *SmallBlock) Restore(src *SmallBlockState) error {
-	if err := sb.Engine.Restore(&src.Engine); err != nil {
-		return err
-	}
-	if err := sb.c.Restore(&src.Cache); err != nil {
-		return err
-	}
-	if len(src.Buffer.Blocks) > sb.buffer.cap {
-		return fmt.Errorf("icache smallblock: snapshot fill buffer %d exceeds capacity %d", len(src.Buffer.Blocks), sb.buffer.cap)
-	}
-	sb.buffer.blocks = append(sb.buffer.blocks[:0], src.Buffer.Blocks...)
-	sb.buffer.pos = src.Buffer.Pos
-	return nil
-}
-
 // SnapshotState implements Checkpointable.
-func (sb *SmallBlock) SnapshotState() ([]byte, error) {
-	var st SmallBlockState
-	sb.Snapshot(&st)
-	return snap.Marshal(&st)
-}
+func (sb *SmallBlock) SnapshotState() ([]byte, error) { return snap.Marshal(&sb.st) }
 
 // RestoreState implements Checkpointable.
-func (sb *SmallBlock) RestoreState(data []byte) error {
-	var st SmallBlockState
-	if err := snap.Unmarshal(data, &st); err != nil {
-		return err
-	}
-	return sb.Restore(&st)
-}
+func (sb *SmallBlock) RestoreState(data []byte) error { return snap.RestoreBytes(&sb.st, data) }
 
-// WOCEntry is the exported image of one word-organised cache entry.
+// WOCEntry is one 8B word of the word-organised cache, tagged by its
+// word-aligned address.
 type WOCEntry struct {
 	Valid bool
-	Addr  uint64
+	Addr  uint64 // 8B-aligned
 	LRU   uint64
 	Used  bool
 }
 
-// WOCState captures the word-organised half of Line Distillation,
-// flattened set-major.
+// WOCState is the word-organised half of Line Distillation: Sets *
+// WOCWords entries, set-major, and its LRU clock.
 type WOCState struct {
 	Entries []WOCEntry
 	Clock   uint64
 }
 
-// DistillState captures the Line Distillation frontend: engine, the
+// DistillState is the Line Distillation frontend's state: engine, the
 // line-organised cache, and the word-organised cache.
 //
 //ubs:state
 type DistillState struct {
-	Engine  EngineState
-	LOC     cache.State
-	WOC     WOCState
+	Engine *EngineState
+	LOC    *cache.State
+	WOC    WOCState
+	// WOCHits counts fetches served from the word-organised half.
 	WOCHits uint64
 }
 
-// Snapshot copies the frontend's mutable state into dst.
-func (d *Distill) Snapshot(dst *DistillState) {
-	d.Engine.Snapshot(&dst.Engine)
-	d.loc.Snapshot(&dst.LOC)
-	words := 0
-	if d.woc.nsets > 0 {
-		words = len(d.woc.sets[0])
-	}
-	want := d.woc.nsets * words
-	if cap(dst.WOC.Entries) < want {
-		dst.WOC.Entries = make([]WOCEntry, want)
-	}
-	dst.WOC.Entries = dst.WOC.Entries[:want]
-	for s, set := range d.woc.sets {
-		for w, e := range set {
-			dst.WOC.Entries[s*words+w] = WOCEntry{Valid: e.valid, Addr: e.addr, LRU: e.lru, Used: e.used}
-		}
-	}
-	dst.WOC.Clock = d.woc.clock
-	dst.WOCHits = d.WOCHits
-}
-
-// Restore installs a previously captured DistillState.
-func (d *Distill) Restore(src *DistillState) error {
-	if err := d.Engine.Restore(&src.Engine); err != nil {
-		return err
-	}
-	if err := d.loc.Restore(&src.LOC); err != nil {
-		return err
-	}
-	words := 0
-	if d.woc.nsets > 0 {
-		words = len(d.woc.sets[0])
-	}
-	if len(src.WOC.Entries) != d.woc.nsets*words {
-		return fmt.Errorf("icache distill: snapshot WOC has %d entries, cache holds %d", len(src.WOC.Entries), d.woc.nsets*words)
-	}
-	for s := range d.woc.sets {
-		for w := range d.woc.sets[s] {
-			e := src.WOC.Entries[s*words+w]
-			d.woc.sets[s][w] = wocEntry{valid: e.Valid, addr: e.Addr, lru: e.LRU, used: e.Used}
-		}
-	}
-	d.woc.clock = src.WOC.Clock
-	d.WOCHits = src.WOCHits
-	return nil
-}
-
 // SnapshotState implements Checkpointable.
-func (d *Distill) SnapshotState() ([]byte, error) {
-	var st DistillState
-	d.Snapshot(&st)
-	return snap.Marshal(&st)
-}
+func (d *Distill) SnapshotState() ([]byte, error) { return snap.Marshal(&d.st) }
 
 // RestoreState implements Checkpointable.
-func (d *Distill) RestoreState(data []byte) error {
-	var st DistillState
-	if err := snap.Unmarshal(data, &st); err != nil {
-		return err
-	}
-	return d.Restore(&st)
-}
+func (d *Distill) RestoreState(data []byte) error { return snap.RestoreBytes(&d.st, data) }

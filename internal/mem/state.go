@@ -1,161 +1,78 @@
 package mem
 
-import (
-	"fmt"
+import "ubscache/internal/cache"
 
-	"ubscache/internal/cache"
-)
-
-// MSHREntry is the exported image of one outstanding miss.
+// MSHREntry is one outstanding miss.
 type MSHREntry struct {
-	Done  uint64
-	Block uint64
+	Done  uint64 // completion cycle
+	Block uint64 // block address
 }
 
-// MSHRState captures an MSHR file: the live entries in raw heap order
-// (the binary min-heap property is preserved by a straight copy) plus
-// the counters. Capacity is configuration, not state.
+// MSHRState is an MSHR file's mutable state: the live entries in heap
+// order plus the counters. Capacity is configuration, not state; the
+// Entries backing array is allocated once at that capacity.
 //
 //ubs:state
 type MSHRState struct {
-	Entries   []MSHREntry
+	// Entries is a binary min-heap on Done.
+	Entries []MSHREntry `snap:"queue"`
+	// Stats. FullStall counts aborted demand allocations — one per
+	// caller-observed retry (see RecordFullStall); Full itself is a pure
+	// query and counts nothing.
 	Merges    uint64
 	Allocs    uint64
 	FullStall uint64
 }
 
-// Snapshot copies the MSHR's mutable state into dst.
-func (m *MSHR) Snapshot(dst *MSHRState) {
-	if cap(dst.Entries) < len(m.heap) {
-		dst.Entries = make([]MSHREntry, len(m.heap))
-	}
-	dst.Entries = dst.Entries[:len(m.heap)]
-	for i, e := range m.heap {
-		dst.Entries[i] = MSHREntry{Done: e.done, Block: e.block}
-	}
-	dst.Merges = m.Merges
-	dst.Allocs = m.Allocs
-	dst.FullStall = m.FullStall
-}
-
-// Restore installs a previously captured MSHRState into a file of the
-// same capacity.
-func (m *MSHR) Restore(src *MSHRState) error {
-	if len(src.Entries) > m.cap {
-		return fmt.Errorf("mshr: snapshot has %d entries, file capacity is %d", len(src.Entries), m.cap)
-	}
-	m.heap = m.heap[:0]
-	for _, e := range src.Entries {
-		m.heap = append(m.heap, mshrEntry{done: e.Done, block: e.Block})
-	}
-	m.Merges = src.Merges
-	m.Allocs = src.Allocs
-	m.FullStall = src.FullStall
-	return nil
-}
-
-// DRAMState captures the open-row and bank-busy books plus counters.
+// DRAMState is the DRAM model's open-row and bank-busy books plus its
+// counters; the bank count is configuration.
 //
 //ubs:state
 type DRAMState struct {
-	Rows      []uint64
-	Busy      []uint64
+	Rows      []uint64 // open row per bank (+1; 0 = closed)
+	Busy      []uint64 // cycle at which the bank becomes free
 	Accesses  uint64
 	RowHits   uint64
 	RowMisses uint64
 }
 
-// Snapshot copies the DRAM model's mutable state into dst.
-func (d *DRAM) Snapshot(dst *DRAMState) {
-	dst.Rows = append(dst.Rows[:0], d.rows...)
-	dst.Busy = append(dst.Busy[:0], d.busy...)
-	dst.Accesses = d.Accesses
-	dst.RowHits = d.RowHits
-	dst.RowMisses = d.RowMisses
-}
-
-// Restore installs a previously captured DRAMState; the bank count must
-// match the model's configuration.
-func (d *DRAM) Restore(src *DRAMState) error {
-	if len(src.Rows) != len(d.rows) || len(src.Busy) != len(d.busy) {
-		return fmt.Errorf("dram: snapshot has %d banks, model has %d", len(src.Rows), len(d.rows))
-	}
-	copy(d.rows, src.Rows)
-	copy(d.busy, src.Busy)
-	d.Accesses = src.Accesses
-	d.RowHits = src.RowHits
-	d.RowMisses = src.RowMisses
-	return nil
-}
-
-// LevelState is one shared cache level: its array plus its MSHR file.
-//
-//ubs:state
+// LevelState points at one shared level's cache array and MSHR file.
 type LevelState struct {
-	Cache cache.State
-	MSHR  MSHRState
+	Cache *cache.State
+	MSHR  *MSHRState
 }
 
-// Snapshot copies the level's mutable state into dst.
-func (l *Level) Snapshot(dst *LevelState) {
-	l.Cache.Snapshot(&dst.Cache)
-	l.MSHR.Snapshot(&dst.MSHR)
-}
-
-// Restore installs a previously captured LevelState.
-func (l *Level) Restore(src *LevelState) error {
-	if err := l.Cache.Restore(&src.Cache); err != nil {
-		return err
-	}
-	return l.MSHR.Restore(&src.MSHR)
-}
-
-// HierarchyState captures the shared L2 → L3 → DRAM path.
+// HierarchyState points at the state of the shared L2 → L3 → DRAM path.
 //
 //ubs:state
 type HierarchyState struct {
 	L2   LevelState
 	L3   LevelState
-	DRAM DRAMState
+	DRAM *DRAMState
 }
 
-// Snapshot copies the hierarchy's mutable state into dst.
-func (h *Hierarchy) Snapshot(dst *HierarchyState) {
-	h.L2.Snapshot(&dst.L2)
-	h.L3.Snapshot(&dst.L3)
-	h.DRAM.Snapshot(&dst.DRAM)
-}
-
-// Restore installs a previously captured HierarchyState.
-func (h *Hierarchy) Restore(src *HierarchyState) error {
-	if err := h.L2.Restore(&src.L2); err != nil {
-		return err
-	}
-	if err := h.L3.Restore(&src.L3); err != nil {
-		return err
-	}
-	return h.DRAM.Restore(&src.DRAM)
-}
-
-// DataCacheState captures the L1-D array and its MSHR file (which the
+// DataCacheState points at the L1-D array and its MSHR file (which the
 // data cache shares with its fetch engine, so one copy covers both).
 //
 //ubs:state
 type DataCacheState struct {
-	Cache cache.State
-	MSHR  MSHRState
+	Cache *cache.State
+	MSHR  *MSHRState
 }
 
-// Snapshot copies the data cache's mutable state into dst.
-func (d *DataCache) Snapshot(dst *DataCacheState) {
-	d.C.Snapshot(&dst.Cache)
-	d.MSHR.Snapshot(&dst.MSHR)
+// State returns the MSHR file's live state.
+func (m *MSHR) State() *MSHRState { return &m.MSHRState }
+
+// State returns the DRAM model's live state.
+func (d *DRAM) State() *DRAMState { return &d.DRAMState }
+
+// state points at the level's live state.
+func (l *Level) state() LevelState {
+	return LevelState{Cache: l.Cache.State(), MSHR: l.MSHR.State()}
 }
 
-// Restore installs a previously captured DataCacheState.
-func (d *DataCache) Restore(src *DataCacheState) error {
-	if err := d.C.Restore(&src.Cache); err != nil {
-		return err
-	}
-	return d.MSHR.Restore(&src.MSHR)
-}
+// State returns the hierarchy's live state.
+func (h *Hierarchy) State() *HierarchyState { return &h.st }
+
+// State returns the data cache's live state.
+func (d *DataCache) State() *DataCacheState { return &d.st }

@@ -82,10 +82,10 @@ func TestRegisterDesignDuplicatePanics(t *testing.T) {
 	RegisterDesign("conv", buildConvDesign)
 }
 
-// TestRegistryMatchesDeprecatedFactories proves the registry resolves to
-// the same frontends the deprecated sim.*Factory wiring produced: same
-// design name, same construction outcome over a fresh hierarchy.
-func TestRegistryMatchesDeprecatedFactories(t *testing.T) {
+// TestRegistryBuildsNamedFrontends proves every registered shorthand
+// builds over a fresh hierarchy into a frontend carrying the design's
+// name.
+func TestRegistryBuildsNamedFrontends(t *testing.T) {
 	for _, name := range []string{"conv:32", "conv:64", "ubs", "smallblock16", "distill", "ghrp", "acic"} {
 		d, err := ParseDesign(name)
 		if err != nil {

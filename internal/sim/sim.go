@@ -67,47 +67,6 @@ func DefaultParams() Params {
 // FrontendFactory builds the instruction-cache design under test.
 type FrontendFactory func(h *mem.Hierarchy) (icache.Frontend, error)
 
-// ConvFactory builds a conventional L1-I.
-//
-// Deprecated: resolve designs through the registry (ResolveDesign,
-// ParseDesign, or NewConvDesign) instead; the registry reaches this same
-// constructor and additionally yields the design's canonical name.
-func ConvFactory(cfg icache.ConventionalConfig) FrontendFactory {
-	return func(h *mem.Hierarchy) (icache.Frontend, error) {
-		return icache.NewConventional(cfg, h)
-	}
-}
-
-// UBSFactory builds a UBS cache.
-//
-// Deprecated: resolve designs through the registry (ResolveDesign,
-// ParseDesign, or NewUBSDesign) instead.
-func UBSFactory(cfg ubs.Config) FrontendFactory {
-	return func(h *mem.Hierarchy) (icache.Frontend, error) {
-		return ubs.New(cfg, h)
-	}
-}
-
-// SmallBlockFactory builds a small-block L1-I.
-//
-// Deprecated: resolve designs through the registry (ResolveDesign,
-// ParseDesign, or NewSmallBlockDesign) instead.
-func SmallBlockFactory(cfg icache.SmallBlockConfig) FrontendFactory {
-	return func(h *mem.Hierarchy) (icache.Frontend, error) {
-		return icache.NewSmallBlock(cfg, h)
-	}
-}
-
-// DistillFactory builds a Line Distillation L1-I.
-//
-// Deprecated: resolve designs through the registry (ResolveDesign,
-// ParseDesign, or NewDistillDesign) instead.
-func DistillFactory(cfg icache.DistillConfig) FrontendFactory {
-	return func(h *mem.Hierarchy) (icache.Frontend, error) {
-		return icache.NewDistill(cfg, h)
-	}
-}
-
 // Result is one simulation's outcome.
 type Result struct {
 	Workload string
@@ -200,17 +159,10 @@ type Machine struct {
 	bp  *bpu.BPU
 	ftq *fdip.FTQ
 	c   *core.Core
-	st  *hbState // nil when no observer is configured
+	hb  *hbState // nil when no observer is configured
 
-	warmed bool
-	icWarm icache.Stats
-	bpWarm bpu.Stats
-
-	effSamples []float64
-	effStride  uint64 // keep every effStride-th sample tick
-	effTick    uint64 // sample ticks taken so far
-	nextSample uint64
-	nextHB     uint64 // 0 disables the per-cycle heartbeat branch
+	st     MachineState
+	nextHB uint64 // 0 disables the per-cycle heartbeat branch
 }
 
 // effWindowCap bounds the storage-efficiency sample window. The backing
@@ -249,17 +201,26 @@ func NewMachine(ctx context.Context, p Params, src trace.Source, workloadName, d
 		workload: workloadName, design: design,
 		src: src,
 		h:   h, ic: ic, dc: dc, bp: bp, ftq: ftq, c: c,
-		effStride: 1,
+		st: MachineState{
+			EffStride: 1,
+			Core:      c.State(),
+			FTQ:       ftq.State(),
+			BPU:       bp.State(),
+			Hierarchy: h.State(),
+		},
+	}
+	if dc != nil {
+		m.st.DataCache = dc.State()
 	}
 	if p.SampleInterval > 0 {
-		m.effSamples = make([]float64, 0, effWindowCap)
+		m.st.EffSamples = make([]float64, 0, effWindowCap)
 	}
 	if p.Observer != nil {
-		m.st = newHBState(p.Observer, workloadName, design, c, ic, bp, dc, h)
+		m.hb = newHBState(p.Observer, workloadName, design, c, ic, bp, dc, h)
 		p.Observer.BeginRun(obs.RunInfo{
 			Workload: workloadName, Design: design,
 			Warmup: p.Warmup, Measure: p.Measure, HeartbeatEvery: m.every,
-		}, m.st.reg)
+		}, m.hb.reg)
 	}
 	return m, nil
 }
@@ -273,12 +234,12 @@ func (m *Machine) Frontend() icache.Frontend { return m.ic }
 // Warmup runs the configured warmup phase and arms measurement. It is
 // idempotent; Advance calls it automatically if needed.
 func (m *Machine) Warmup() error {
-	if m.warmed {
+	if m.st.Warmed {
 		return nil
 	}
-	m.st.startPhase("warmup", m.p.Warmup, icache.Stats{}, bpu.Stats{})
+	m.hb.startPhase("warmup", m.p.Warmup, icache.Stats{}, bpu.Stats{})
 	if m.p.Warmup > 0 {
-		if m.st == nil && !m.cancellable {
+		if m.hb == nil && !m.cancellable {
 			// Fast path: no heartbeats, no cancellation windows.
 			if !m.c.Run(m.p.Warmup) {
 				return m.traceEnded("warmup")
@@ -291,24 +252,24 @@ func (m *Machine) Warmup() error {
 				}
 				if m.c.Stats().Cycles >= next {
 					next += m.every
-					m.st.beat()
+					m.hb.beat()
 					if m.cancellable {
 						if err := m.ctx.Err(); err != nil {
-							return m.st.finish(err)
+							return m.hb.finish(err)
 						}
 					}
 				}
 			}
 		}
 	}
-	m.icWarm, m.bpWarm = m.ic.Stats(), m.bp.Stats()
+	m.st.ICWarm, m.st.BPWarm = m.ic.Stats(), m.bp.Stats()
 	m.c.ResetStats()
-	m.st.startPhase("measure", m.p.Measure, m.icWarm, m.bpWarm)
-	m.nextSample = m.p.SampleInterval
-	if m.st != nil || m.cancellable {
+	m.hb.startPhase("measure", m.p.Measure, m.st.ICWarm, m.st.BPWarm)
+	m.st.NextSample = m.p.SampleInterval
+	if m.hb != nil || m.cancellable {
 		m.nextHB = m.every
 	}
-	m.warmed = true
+	m.st.Warmed = true
 	return nil
 }
 
@@ -325,20 +286,20 @@ func (m *Machine) Advance(n uint64) error {
 	for m.c.Stats().Instructions < target {
 		m.c.Cycle()
 		if m.p.SampleInterval > 0 {
-			if cyc := m.c.Stats().Cycles; cyc >= m.nextSample {
+			if cyc := m.c.Stats().Cycles; cyc >= m.st.NextSample {
 				if eff, ok := m.ic.Efficiency(); ok {
 					m.recordEff(eff)
 				}
-				m.nextSample += m.p.SampleInterval
+				m.st.NextSample += m.p.SampleInterval
 			}
 		}
 		if m.nextHB != 0 {
 			if cyc := m.c.Stats().Cycles; cyc >= m.nextHB {
 				m.nextHB += m.every
-				m.st.beat()
+				m.hb.beat()
 				if m.cancellable {
 					if err := m.ctx.Err(); err != nil {
-						return m.st.finish(err)
+						return m.hb.finish(err)
 					}
 				}
 			}
@@ -358,29 +319,29 @@ func (m *Machine) Advance(n uint64) error {
 //
 //ubs:hotpath
 func (m *Machine) recordEff(eff float64) {
-	tick := m.effTick
-	m.effTick++
-	if tick%m.effStride != 0 {
+	tick := m.st.EffTick
+	m.st.EffTick++
+	if tick%m.st.EffStride != 0 {
 		return
 	}
-	if len(m.effSamples) == effWindowCap {
+	if len(m.st.EffSamples) == effWindowCap {
 		// Full: keep every other retained sample and double the stride.
 		for i := 0; i < effWindowCap/2; i++ {
-			m.effSamples[i] = m.effSamples[2*i]
+			m.st.EffSamples[i] = m.st.EffSamples[2*i]
 		}
-		m.effSamples = m.effSamples[:effWindowCap/2]
-		m.effStride *= 2
-		if tick%m.effStride != 0 {
+		m.st.EffSamples = m.st.EffSamples[:effWindowCap/2]
+		m.st.EffStride *= 2
+		if tick%m.st.EffStride != 0 {
 			return
 		}
 	}
 	//ubs:allowalloc the window's backing array is pre-sized to effWindowCap at construction
-	m.effSamples = append(m.effSamples, eff)
+	m.st.EffSamples = append(m.st.EffSamples, eff)
 }
 
 // traceEnded reports premature trace exhaustion through the observer.
 func (m *Machine) traceEnded(phase string) error {
-	return m.st.finish(fmt.Errorf("sim: trace ended during %s of %s", phase, m.workload))
+	return m.hb.finish(fmt.Errorf("sim: trace ended during %s of %s", phase, m.workload))
 }
 
 // Finish assembles the measured Result and delivers the observer's final
@@ -388,13 +349,13 @@ func (m *Machine) traceEnded(phase string) error {
 func (m *Machine) Finish() Result {
 	res := Result{Workload: m.workload, Design: m.design}
 	res.Core = m.c.Stats()
-	res.ICache = m.ic.Stats().Delta(m.icWarm)
-	res.BPU = m.bp.Stats().Delta(m.bpWarm)
-	res.EffSamples = m.effSamples
+	res.ICache = m.ic.Stats().Delta(m.st.ICWarm)
+	res.BPU = m.bp.Stats().Delta(m.st.BPWarm)
+	res.EffSamples = m.st.EffSamples
 	if u, ok := m.ic.(*ubs.Cache); ok {
 		st := u.UBSStats()
 		res.UBS = &st
 	}
-	m.st.finish(nil)
+	m.hb.finish(nil)
 	return res
 }

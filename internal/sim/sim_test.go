@@ -40,7 +40,7 @@ func TestDefaultParams(t *testing.T) {
 }
 
 func TestRunConventional(t *testing.T) {
-	res, err := Run(tinyParams(), specCfg(t), "conv", ConvFactory(icache.Baseline32K()))
+	res, err := Run(tinyParams(), specCfg(t), "conv", MustDesign("conv:32").Factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestRunConventional(t *testing.T) {
 }
 
 func TestRunUBSCarriesExtendedStats(t *testing.T) {
-	res, err := Run(tinyParams(), specCfg(t), "ubs", UBSFactory(ubs.DefaultConfig()))
+	res, err := Run(tinyParams(), specCfg(t), "ubs", MustDesign("ubs").Factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,14 +78,14 @@ func TestWarmupExcludedFromStats(t *testing.T) {
 	// Measured icache stats must exclude warmup: a run with warmup must
 	// report fewer fetches than warmup+measure would produce.
 	p := tinyParams()
-	resWarm, err := Run(p, specCfg(t), "conv", ConvFactory(icache.Baseline32K()))
+	resWarm, err := Run(p, specCfg(t), "conv", MustDesign("conv:32").Factory)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p2 := p
 	p2.Warmup = 0
 	p2.Measure = p.Warmup + p.Measure
-	resAll, err := Run(p2, specCfg(t), "conv", ConvFactory(icache.Baseline32K()))
+	resAll, err := Run(p2, specCfg(t), "conv", MustDesign("conv:32").Factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +100,11 @@ func TestWarmupExcludedFromStats(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a, err := Run(tinyParams(), specCfg(t), "ubs", UBSFactory(ubs.DefaultConfig()))
+	a, err := Run(tinyParams(), specCfg(t), "ubs", MustDesign("ubs").Factory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(tinyParams(), specCfg(t), "ubs", UBSFactory(ubs.DefaultConfig()))
+	b, err := Run(tinyParams(), specCfg(t), "ubs", MustDesign("ubs").Factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestDeterminism(t *testing.T) {
 func TestEfficiencySampling(t *testing.T) {
 	p := tinyParams()
 	p.SampleInterval = 10_000
-	res, err := Run(p, specCfg(t), "conv", ConvFactory(icache.Baseline32K()))
+	res, err := Run(p, specCfg(t), "conv", MustDesign("conv:32").Factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestEfficiencySampling(t *testing.T) {
 	}
 	// Disabled sampling yields none.
 	p.SampleInterval = 0
-	res, err = Run(p, specCfg(t), "conv", ConvFactory(icache.Baseline32K()))
+	res, err = Run(p, specCfg(t), "conv", MustDesign("conv:32").Factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestEfficiencySampling(t *testing.T) {
 func TestTraceEndsDuringWarmup(t *testing.T) {
 	short := trace.NewSlice(trace.Collect(mustWalker(t), 1000))
 	_, err := RunSource(tinyParams(), short, "short", "conv",
-		ConvFactory(icache.Baseline32K()))
+		MustDesign("conv:32").Factory)
 	if err == nil || !strings.Contains(err.Error(), "warmup") {
 		t.Errorf("expected warmup error, got %v", err)
 	}
@@ -154,7 +154,7 @@ func TestTraceEndsDuringMeasurement(t *testing.T) {
 	p := tinyParams()
 	p.Warmup = 10_000
 	p.Measure = 1_000_000
-	_, err := RunSource(p, short, "short", "conv", ConvFactory(icache.Baseline32K()))
+	_, err := RunSource(p, short, "short", "conv", MustDesign("conv:32").Factory)
 	if err == nil || !strings.Contains(err.Error(), "measurement") {
 		t.Errorf("expected measurement error, got %v", err)
 	}
@@ -171,10 +171,10 @@ func mustWalker(t *testing.T) trace.Source {
 
 func TestAllFactoriesBuild(t *testing.T) {
 	factories := map[string]FrontendFactory{
-		"conv":       ConvFactory(icache.Baseline32K()),
-		"ubs":        UBSFactory(ubs.DefaultConfig()),
-		"smallblock": SmallBlockFactory(icache.SmallBlock16()),
-		"distill":    DistillFactory(icache.DefaultDistill()),
+		"conv":       MustDesign("conv:32").Factory,
+		"ubs":        MustDesign("ubs").Factory,
+		"smallblock": MustDesign("smallblock16").Factory,
+		"distill":    MustDesign("distill").Factory,
 	}
 	p := tinyParams()
 	p.Warmup = 5_000
@@ -187,12 +187,14 @@ func TestAllFactoriesBuild(t *testing.T) {
 }
 
 func TestBadFactoryConfigRejected(t *testing.T) {
-	bad := UBSFactory(ubs.Config{}) // zero config is invalid
-	if _, err := Run(tinyParams(), specCfg(t), "bad", bad); err == nil {
+	if _, err := NewUBSDesign(UBSDesign{Custom: &ubs.Config{}}); err == nil { // zero config is invalid
 		t.Error("invalid UBS config accepted")
 	}
-	badSB := SmallBlockFactory(icache.SmallBlockConfig{BlockSize: 24})
-	if _, err := Run(tinyParams(), specCfg(t), "bad", badSB); err == nil {
+	badSB, err := NewSmallBlockDesign(SmallBlockDesign{Custom: &icache.SmallBlockConfig{BlockSize: 24}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(tinyParams(), specCfg(t), "bad", badSB.Factory); err == nil {
 		t.Error("invalid small-block config accepted")
 	}
 }
@@ -200,7 +202,7 @@ func TestBadFactoryConfigRejected(t *testing.T) {
 func TestNoDataCacheMode(t *testing.T) {
 	p := tinyParams()
 	p.DataCache = false
-	res, err := Run(p, specCfg(t), "conv", ConvFactory(icache.Baseline32K()))
+	res, err := Run(p, specCfg(t), "conv", MustDesign("conv:32").Factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +212,7 @@ func TestNoDataCacheMode(t *testing.T) {
 }
 
 func TestResultHelpers(t *testing.T) {
-	res, err := Run(tinyParams(), specCfg(t), "conv", ConvFactory(icache.Baseline32K()))
+	res, err := Run(tinyParams(), specCfg(t), "conv", MustDesign("conv:32").Factory)
 	if err != nil {
 		t.Fatal(err)
 	}

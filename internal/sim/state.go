@@ -8,13 +8,16 @@ import (
 	"ubscache/internal/fdip"
 	"ubscache/internal/icache"
 	"ubscache/internal/mem"
+	"ubscache/internal/snap"
 	"ubscache/internal/trace"
 )
 
-// MachineState is the complete checkpointable image of a Machine: every
-// layer's state struct composed into one value that round-trips through
-// the deterministic snap codec. The contract is byte-level — snapshot
-// at instruction N, restore into a fresh Machine built from the same
+// MachineState is a Machine's own mutable state and, through its
+// pointers, every layer's: in a live machine each pointer addresses the
+// state struct that layer runs on, so the value is the complete
+// checkpointable image. Snapshot deep-copies it; checkpoint files are
+// its snap encoding. The contract is byte-level — snapshot at
+// instruction N, restore into a fresh Machine built from the same
 // Params/design/workload, run to completion, and the final stats are
 // byte-identical to an uninterrupted run.
 //
@@ -35,22 +38,26 @@ import (
 //
 //ubs:state
 type MachineState struct {
-	Warmed     bool
-	ICWarm     icache.Stats
-	BPWarm     bpu.Stats
-	EffSamples []float64
+	Warmed bool
+	ICWarm icache.Stats
+	BPWarm bpu.Stats
+	// EffSamples is the storage-efficiency window: every EffStride-th
+	// sample tick, bounded by effWindowCap (see recordEff).
+	EffSamples []float64 `snap:"queue"`
 	EffStride  uint64
-	EffTick    uint64
+	EffTick    uint64 // sample ticks taken so far
 	NextSample uint64
-	Core       core.State
-	FTQ        fdip.State
-	BPU        bpu.State
-	// Frontend holds the design's snap-encoded state struct; the bytes
-	// are opaque here and only the same concrete frontend type decodes
-	// them (icache.Checkpointable).
-	Frontend  []byte
-	DataCache *mem.DataCacheState
-	Hierarchy mem.HierarchyState
+	Core       *core.State
+	FTQ        *fdip.State
+	BPU        *bpu.State
+	// Frontend holds the design's snap-encoded state struct. The bytes
+	// are opaque here; only the same concrete frontend type decodes them
+	// and checks their shape (icache.Checkpointable). The frontend keeps
+	// its own state, so in a live machine this is empty: Snapshot fills
+	// it in the copy, and Restore hands it to the frontend.
+	Frontend  []byte              `snap:"opaque"`
+	DataCache *mem.DataCacheState // nil without data-cache modelling
+	Hierarchy *mem.HierarchyState
 }
 
 // Snapshot copies the machine's complete mutable state into dst. The
@@ -60,48 +67,33 @@ type MachineState struct {
 // hot path — callers invoke it between Advance calls — so it may
 // allocate, though it reuses dst's backing storage across calls.
 func (m *Machine) Snapshot(dst *MachineState) error {
-	if !m.warmed {
+	if !m.st.Warmed {
 		return fmt.Errorf("sim: snapshot before warmup completed")
 	}
 	ck, ok := m.ic.(icache.Checkpointable)
 	if !ok {
 		return fmt.Errorf("sim: frontend %T is not checkpointable", m.ic)
 	}
-	dst.Warmed = m.warmed
-	dst.ICWarm = m.icWarm
-	dst.BPWarm = m.bpWarm
-	dst.EffSamples = append(dst.EffSamples[:0], m.effSamples...)
-	dst.EffStride = m.effStride
-	dst.EffTick = m.effTick
-	dst.NextSample = m.nextSample
-	m.c.Snapshot(&dst.Core)
-	m.ftq.Snapshot(&dst.FTQ)
-	m.bp.Snapshot(&dst.BPU)
 	fe, err := ck.SnapshotState()
 	if err != nil {
 		return err
 	}
-	dst.Frontend = fe
-	if m.dc == nil {
-		dst.DataCache = nil
-	} else {
-		if dst.DataCache == nil {
-			dst.DataCache = &mem.DataCacheState{}
-		}
-		m.dc.Snapshot(dst.DataCache)
+	if err := snap.Copy(dst, &m.st); err != nil {
+		return err
 	}
-	m.h.Snapshot(&dst.Hierarchy)
+	dst.Frontend = fe
 	return nil
 }
 
 // Restore installs a previously captured MachineState into a fresh
-// Machine built from the same Params, design, and workload. The
-// machine's trace source is fast-forwarded to the snapshot's replay
-// cursor, every layer's state is copied into its pre-sized backings,
-// and the observer (if any) is re-armed at the measure phase, so the
-// next Advance continues exactly where the snapshot left off.
+// Machine built from the same Params, design, and workload. Every
+// layer's state is checked against the machine's geometry and only then
+// copied into its pre-sized backing; the machine's trace source is
+// fast-forwarded to the snapshot's replay cursor, and the observer (if
+// any) is re-armed at the measure phase, so the next Advance continues
+// exactly where the snapshot left off.
 func (m *Machine) Restore(src *MachineState) error {
-	if m.warmed || m.c.Clock() != 0 {
+	if m.st.Warmed || m.c.Clock() != 0 {
 		return fmt.Errorf("sim: restore target must be a fresh machine")
 	}
 	if !src.Warmed {
@@ -111,49 +103,25 @@ func (m *Machine) Restore(src *MachineState) error {
 	if !ok {
 		return fmt.Errorf("sim: frontend %T is not checkpointable", m.ic)
 	}
-	if (src.DataCache == nil) != (m.dc == nil) {
-		return fmt.Errorf("sim: snapshot and params disagree on data-cache modelling")
+	if err := snap.Restore(&m.st, src); err != nil {
+		return err
+	}
+	if err := ck.RestoreState(src.Frontend); err != nil {
+		return fmt.Errorf("sim: frontend %s: %w", m.design, err)
 	}
 	// Replay: position the fresh source on the instruction the FTQ would
 	// pull next. EnqueuedTot counts exactly the successful Next calls; a
 	// source that already ended (SourceDone) is restored via the flag
 	// alone, so no extra Next is needed here.
-	if err := trace.Skip(m.src, src.FTQ.EnqueuedTot); err != nil {
+	if err := trace.Skip(m.src, m.st.FTQ.EnqueuedTot); err != nil {
 		return err
 	}
-	if err := m.c.Restore(&src.Core); err != nil {
-		return err
-	}
-	if err := m.ftq.Restore(&src.FTQ); err != nil {
-		return err
-	}
-	if err := m.bp.Restore(&src.BPU); err != nil {
-		return err
-	}
-	if err := ck.RestoreState(src.Frontend); err != nil {
-		return err
-	}
-	if m.dc != nil {
-		if err := m.dc.Restore(src.DataCache); err != nil {
-			return err
-		}
-	}
-	if err := m.h.Restore(&src.Hierarchy); err != nil {
-		return err
-	}
-	m.icWarm = src.ICWarm
-	m.bpWarm = src.BPWarm
-	m.effSamples = append(m.effSamples[:0], src.EffSamples...)
-	m.effStride = src.EffStride
-	m.effTick = src.EffTick
-	m.nextSample = src.NextSample
-	m.warmed = src.Warmed
 	// Observer plumbing: re-enter the measure phase and recompute the
 	// heartbeat schedule against the restored clock. Beats fire exactly
 	// on multiples of the period, so the resumed run stays on the same
 	// cycle grid as the uninterrupted one.
-	m.st.startPhase("measure", m.p.Measure, m.icWarm, m.bpWarm)
-	if m.st != nil || m.cancellable {
+	m.hb.startPhase("measure", m.p.Measure, m.st.ICWarm, m.st.BPWarm)
+	if m.hb != nil || m.cancellable {
 		m.nextHB = (m.c.Stats().Cycles/m.every + 1) * m.every
 	} else {
 		m.nextHB = 0

@@ -271,10 +271,11 @@ func decode(r *reader, v reflect.Value) error {
 			return err
 		}
 		n := int(n32)
-		// Every supported element costs at least one byte, so a length
-		// beyond the remaining input is corruption — reject it before
-		// allocating.
-		if n > len(r.data)-r.off {
+		// Every element costs at least minSize bytes of input, so a
+		// length the remaining input cannot hold is corruption — reject
+		// it before allocating. This bounds what a crafted prefix can
+		// allocate to a small multiple of the input's size.
+		if n > (len(r.data)-r.off)/minSize(v.Type().Elem()) {
 			return fmt.Errorf("snap: slice length %d exceeds remaining input", n)
 		}
 		if v.Cap() >= n {
@@ -330,4 +331,29 @@ func decode(r *reader, v reflect.Value) error {
 	default:
 		return fmt.Errorf("snap: unsupported kind %s (%s)", v.Kind(), v.Type())
 	}
+}
+
+// minSize is the fewest bytes a value of type t encodes to (at least 1,
+// so that even a zero-size element cannot make a length prefix free).
+func minSize(t reflect.Type) int {
+	n := 0
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int8, reflect.Uint8, reflect.Pointer:
+		n = 1
+	case reflect.Int16, reflect.Uint16:
+		n = 2
+	case reflect.Int32, reflect.Uint32, reflect.Float32, reflect.String, reflect.Slice:
+		n = 4
+	case reflect.Int, reflect.Int64, reflect.Uint, reflect.Uint64, reflect.Float64:
+		n = 8
+	case reflect.Array:
+		n = t.Len() * minSize(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if f := t.Field(i); f.IsExported() && f.Tag.Get("snap") != tagSkip {
+				n += minSize(f.Type)
+			}
+		}
+	}
+	return max(n, 1)
 }

@@ -147,3 +147,148 @@ func TestUnsupportedKinds(t *testing.T) {
 		t.Fatal("unexported field not rejected")
 	}
 }
+
+func TestCopyMatchesRoundTrip(t *testing.T) {
+	in := sample()
+	var out outer
+	if err := Copy(&out, &in); err != nil {
+		t.Fatal(err)
+	}
+	want, err := Marshal(&in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Marshal(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("Copy differs from the value it copied:\n in:  %+v\n out: %+v", in, out)
+	}
+	if out.scratch != 0 {
+		t.Fatal("snap:\"-\" field was copied")
+	}
+	// The copy is deep: mutating the source leaves it alone.
+	in.Bytes[0], in.Ptr.A, in.Nested[0][0] = 9, 9, 9
+	if out.Bytes[0] == 9 || out.Ptr.A == 9 || out.Nested[0][0] == 9 {
+		t.Fatal("Copy shares storage with its source")
+	}
+}
+
+func TestCopyReusesBacking(t *testing.T) {
+	in := sample()
+	var out outer
+	if err := Copy(&out, &in); err != nil {
+		t.Fatal(err)
+	}
+	bytesBacking, ptr := &out.Bytes[0], out.Ptr
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := Copy(&out, &in); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if &out.Bytes[0] != bytesBacking || out.Ptr != ptr {
+		t.Fatal("a second Copy into the same value reallocated")
+	}
+	if allocs != 0 {
+		t.Fatalf("a second Copy into the same value allocated %v times", allocs)
+	}
+}
+
+type live struct {
+	Table []uint16
+	Queue []uint32 `snap:"queue"`
+	Blob  []byte   `snap:"opaque"`
+	Rows  [][]int8
+	Opt   *inner
+	Count uint64
+}
+
+func newLive() live {
+	return live{
+		Table: make([]uint16, 4),
+		Queue: make([]uint32, 0, 3),
+		Rows:  [][]int8{make([]int8, 2), make([]int8, 2)},
+		Opt:   &inner{},
+	}
+}
+
+func TestRestoreChecksShape(t *testing.T) {
+	good := func() live {
+		l := newLive()
+		l.Table[1], l.Queue, l.Blob, l.Rows[1][0], l.Opt.A, l.Count = 7, []uint32{1, 2}, []byte("anything"), -3, 5, 11
+		return l
+	}
+	dst := newLive()
+	table, queue, opt := &dst.Table[0], &dst.Queue[:1][0], dst.Opt
+	src := good()
+	if err := Restore(&dst, &src); err != nil {
+		t.Fatalf("matching shape rejected: %v", err)
+	}
+	if dst.Table[1] != 7 || len(dst.Queue) != 2 || dst.Rows[1][0] != -3 || dst.Opt.A != 5 || dst.Count != 11 {
+		t.Fatalf("restored value wrong: %+v", dst)
+	}
+	if len(dst.Blob) != 0 {
+		t.Fatal("Restore wrote opaque bytes, which are their owner's to decode")
+	}
+	if &dst.Table[0] != table || &dst.Queue[0] != queue || dst.Opt != opt {
+		t.Fatal("Restore replaced the target's pre-sized backing")
+	}
+
+	for name, bend := range map[string]func(*live){
+		"table length":   func(l *live) { l.Table = make([]uint16, 5) },
+		"queue capacity": func(l *live) { l.Queue = []uint32{1, 2, 3, 4} },
+		"row length":     func(l *live) { l.Rows[0] = make([]int8, 3) },
+		"row count":      func(l *live) { l.Rows = l.Rows[:1] },
+		"missing struct": func(l *live) { l.Opt = nil },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dst := newLive()
+			before, err := Marshal(&dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := good()
+			bend(&src)
+			if err := Restore(&dst, &src); err == nil {
+				t.Fatal("shape mismatch accepted")
+			} else {
+				t.Log(err)
+			}
+			after, err := Marshal(&dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatal("a rejected Restore wrote into its target")
+			}
+		})
+	}
+	t.Run("extra struct", func(t *testing.T) {
+		dst := newLive()
+		dst.Opt = nil
+		src := good()
+		if err := Restore(&dst, &src); err == nil {
+			t.Fatal("structure the target lacks accepted")
+		}
+	})
+}
+
+func TestRestoreBytes(t *testing.T) {
+	src := newLive()
+	src.Table[3], src.Queue = 42, []uint32{9}
+	data, err := Marshal(&src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := newLive()
+	if err := RestoreBytes(&dst, data); err != nil {
+		t.Fatal(err)
+	}
+	if dst.Table[3] != 42 || len(dst.Queue) != 1 || cap(dst.Queue) != 3 {
+		t.Fatalf("restored value wrong: %+v", dst)
+	}
+	if err := RestoreBytes(&dst, data[:len(data)-1]); err == nil {
+		t.Fatal("truncated bytes accepted")
+	}
+}

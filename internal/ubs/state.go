@@ -1,63 +1,73 @@
 package ubs
 
 import (
-	"fmt"
-
 	"ubscache/internal/icache"
 	"ubscache/internal/snap"
 )
 
-// WayEntry is the exported image of one uneven-block way.
+// WayEntry is one uneven way of one set: a tagged sub-block of a
+// 64B-aligned block, described by its start_offset (in granules) with its
+// size implied by the way (§IV-C).
 type WayEntry struct {
-	Valid    bool
-	Tag      uint64
-	Start    int
-	Stored   int
+	Valid  bool
+	Tag    uint64 // 64B block address
+	Start  int    // first stored granule within the block
+	Stored int    // granules actually stored (≤ way capacity; clipped at block end)
+	// Accessed marks stored granules that have been fetched; bits are
+	// positioned absolutely within the 64B block for simplicity.
 	Accessed uint64
 	LRU      uint64
 	Insert   uint64
-	Reused   bool
-	Sig      uint32
+	// Reused and Sig feed the §VI-H congruence extensions.
+	Reused bool
+	Sig    uint32
 }
 
-// PredEntry is the exported image of one useful-byte predictor entry.
+// PredEntry is one useful-byte predictor entry: a full 64B block and
+// its bit-vectors.
 type PredEntry struct {
-	Valid      bool
+	Valid bool
+	// Prefetched marks entries filled by FDIP that have not yet seen a
+	// demand fetch; their locality is unknown rather than observed-cold.
 	Prefetched bool
-	Tag        uint64
-	Mask       uint64
-	PrefMask   uint64
-	Order      uint64
-	Insert     uint64
+	Tag        uint64 // 64B block address
+	Mask       uint64 // accessed granules
+	// PrefMask marks granules predicted useful by FDIP fetch ranges (§IV-A
+	// start+size requests). They guide distillation when the block is
+	// evicted before its first demand fetch, but do not count as accessed.
+	PrefMask uint64
+	Order    uint64 // LRU or FIFO timestamp
+	Insert   uint64 // fill cycle
 }
 
-// PredictorState captures the useful-byte predictor, flattened
-// set-major.
+// PredictorState is the useful-byte predictor: PredictorSets *
+// PredictorWays entries, set-major, and its recency clock.
 type PredictorState struct {
 	Entries []PredEntry
 	Clock   uint64
 }
 
-// DeadState captures the §VI-H dead-block predictor tables.
+// DeadState is the §VI-H dead-block predictor (see congruence.go).
 type DeadState struct {
 	Tables  [][]uint8
 	History uint32
 }
 
-// AdmitState captures the §VI-H admission filter table.
+// AdmitState is the §VI-H admission filter table (see congruence.go).
 type AdmitState struct {
 	Table []uint8
 }
 
-// State is the checkpointable image of the UBS cache: the uneven-block
-// directory, the useful-byte predictor, the LRU clock, the UBS-specific
-// counters, and — when the congruence extensions are enabled — the
-// dead-block predictor and admission filter (nil otherwise, and the
-// snapshot must agree with the design on their presence).
+// State is the UBS cache's mutable state: the uneven-block directory
+// (Sets * len(WaySizes) ways, set-major), the useful-byte predictor, the
+// LRU clock, the UBS-specific counters, and — when the congruence
+// extensions are enabled — the dead-block predictor and admission filter
+// (nil otherwise; a restore must agree with the design on their
+// presence).
 //
 //ubs:state
 type State struct {
-	Engine icache.EngineState
+	Engine *icache.EngineState
 	Ways   []WayEntry
 	Clock  uint64
 	Stats  Stats
@@ -66,145 +76,8 @@ type State struct {
 	Admit  *AdmitState
 }
 
-// Snapshot copies the cache's mutable state into dst, reusing dst's
-// backing storage where it is already the right size.
-func (u *Cache) Snapshot(dst *State) {
-	u.Engine.Snapshot(&dst.Engine)
-	nways := 0
-	if len(u.ways) > 0 {
-		nways = len(u.ways[0])
-	}
-	want := len(u.ways) * nways
-	if cap(dst.Ways) < want {
-		dst.Ways = make([]WayEntry, want)
-	}
-	dst.Ways = dst.Ways[:want]
-	for s, set := range u.ways {
-		for w, e := range set {
-			dst.Ways[s*nways+w] = WayEntry{
-				Valid: e.valid, Tag: e.tag, Start: e.start, Stored: e.stored,
-				Accessed: e.accessed, LRU: e.lru, Insert: e.insert,
-				Reused: e.reused, Sig: e.sig,
-			}
-		}
-	}
-	dst.Clock = u.clock
-	dst.Stats = u.stats
-	pw := u.pred.ways
-	pwant := u.pred.nsets * pw
-	if cap(dst.Pred.Entries) < pwant {
-		dst.Pred.Entries = make([]PredEntry, pwant)
-	}
-	dst.Pred.Entries = dst.Pred.Entries[:pwant]
-	for s, set := range u.pred.sets {
-		for w, e := range set {
-			dst.Pred.Entries[s*pw+w] = PredEntry{
-				Valid: e.valid, Prefetched: e.prefetched, Tag: e.tag,
-				Mask: e.mask, PrefMask: e.prefMask, Order: e.order, Insert: e.insert,
-			}
-		}
-	}
-	dst.Pred.Clock = u.pred.clock
-	if u.dead == nil {
-		dst.Dead = nil
-	} else {
-		if dst.Dead == nil {
-			dst.Dead = &DeadState{}
-		}
-		if cap(dst.Dead.Tables) < deadTables {
-			dst.Dead.Tables = make([][]uint8, deadTables)
-		}
-		dst.Dead.Tables = dst.Dead.Tables[:deadTables]
-		for i := range u.dead.tables {
-			dst.Dead.Tables[i] = append(dst.Dead.Tables[i][:0], u.dead.tables[i]...)
-		}
-		dst.Dead.History = u.dead.history
-	}
-	if u.admit == nil {
-		dst.Admit = nil
-	} else {
-		if dst.Admit == nil {
-			dst.Admit = &AdmitState{}
-		}
-		dst.Admit.Table = append(dst.Admit.Table[:0], u.admit.table...)
-	}
-}
-
-// Restore installs a previously captured State into a cache of the same
-// configuration.
-func (u *Cache) Restore(src *State) error {
-	if err := u.Engine.Restore(&src.Engine); err != nil {
-		return err
-	}
-	nways := 0
-	if len(u.ways) > 0 {
-		nways = len(u.ways[0])
-	}
-	if len(src.Ways) != len(u.ways)*nways {
-		return fmt.Errorf("ubs: snapshot has %d ways, cache holds %d", len(src.Ways), len(u.ways)*nways)
-	}
-	for s := range u.ways {
-		for w := range u.ways[s] {
-			e := src.Ways[s*nways+w]
-			u.ways[s][w] = wayEntry{
-				valid: e.Valid, tag: e.Tag, start: e.Start, stored: e.Stored,
-				accessed: e.Accessed, lru: e.LRU, insert: e.Insert,
-				reused: e.Reused, sig: e.Sig,
-			}
-		}
-	}
-	u.clock = src.Clock
-	u.stats = src.Stats
-	pw := u.pred.ways
-	if len(src.Pred.Entries) != u.pred.nsets*pw {
-		return fmt.Errorf("ubs: snapshot predictor has %d entries, cache holds %d", len(src.Pred.Entries), u.pred.nsets*pw)
-	}
-	for s := range u.pred.sets {
-		for w := range u.pred.sets[s] {
-			e := src.Pred.Entries[s*pw+w]
-			u.pred.sets[s][w] = predEntry{
-				valid: e.Valid, prefetched: e.Prefetched, tag: e.Tag,
-				mask: e.Mask, prefMask: e.PrefMask, order: e.Order, insert: e.Insert,
-			}
-		}
-	}
-	u.pred.clock = src.Pred.Clock
-	if (src.Dead == nil) != (u.dead == nil) || (src.Admit == nil) != (u.admit == nil) {
-		return fmt.Errorf("ubs: snapshot and design disagree on congruence extensions")
-	}
-	if u.dead != nil {
-		if len(src.Dead.Tables) != deadTables {
-			return fmt.Errorf("ubs: snapshot dead predictor has %d tables, want %d", len(src.Dead.Tables), deadTables)
-		}
-		for i := range u.dead.tables {
-			if len(src.Dead.Tables[i]) != len(u.dead.tables[i]) {
-				return fmt.Errorf("ubs: snapshot dead table %d size mismatch", i)
-			}
-			copy(u.dead.tables[i], src.Dead.Tables[i])
-		}
-		u.dead.history = src.Dead.History
-	}
-	if u.admit != nil {
-		if len(src.Admit.Table) != len(u.admit.table) {
-			return fmt.Errorf("ubs: snapshot admit table size mismatch")
-		}
-		copy(u.admit.table, src.Admit.Table)
-	}
-	return nil
-}
-
 // SnapshotState implements icache.Checkpointable.
-func (u *Cache) SnapshotState() ([]byte, error) {
-	var st State
-	u.Snapshot(&st)
-	return snap.Marshal(&st)
-}
+func (u *Cache) SnapshotState() ([]byte, error) { return snap.Marshal(&u.st) }
 
 // RestoreState implements icache.Checkpointable.
-func (u *Cache) RestoreState(data []byte) error {
-	var st State
-	if err := snap.Unmarshal(data, &st); err != nil {
-		return err
-	}
-	return u.Restore(&st)
-}
+func (u *Cache) RestoreState(data []byte) error { return snap.RestoreBytes(&u.st, data) }

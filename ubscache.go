@@ -394,13 +394,6 @@ func RunExperiment(id string, eo ExperimentOptions) (string, error) {
 	})
 }
 
-// RunExperimentArgs is the positional predecessor of RunExperiment.
-//
-// Deprecated: use RunExperiment with ExperimentOptions.
-func RunExperimentArgs(id string, opts Options, perFamily int, progress io.Writer) (string, error) {
-	return RunExperiment(id, ExperimentOptions{Options: opts, PerFamily: perFamily, Progress: progress})
-}
-
 // JobServer is the embeddable simulation-as-a-service core behind the
 // ubsd daemon: a bounded worker pool with per-priority admission control
 // over a memoizing ResultStore, per-job SSE progress streams, and a

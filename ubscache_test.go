@@ -9,7 +9,6 @@ import (
 
 	"ubscache/internal/icache"
 	"ubscache/internal/serve"
-	"ubscache/internal/sim"
 )
 
 func quickTest() Options {
@@ -63,7 +62,11 @@ func TestConventional32IsTableIBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Simulate(Design{base.Name, sim.ConvFactory(base)}, w, quickTest())
+	baseline, err := ResolveDesign(DesignSpec{Kind: "conv"}) // zero config: Table I
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Simulate(baseline, w, quickTest())
 	if err != nil {
 		t.Fatal(err)
 	}
