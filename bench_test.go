@@ -9,6 +9,7 @@ package ubscache
 // Full-scale regeneration: cmd/ubsweep (e.g. `ubsweep -exp fig10`).
 
 import (
+	"context"
 	"testing"
 
 	"ubscache/internal/bench"
@@ -68,7 +69,7 @@ func BenchmarkCVP(b *testing.B)    { benchExperiment(b, "cvp") }
 // IPC as benchmark metrics.
 func ablationRun(b *testing.B, mutate func(*ubs.Config)) {
 	b.Helper()
-	w, err := Workload("server_001")
+	w, err := ParseWorkload("server_001")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func ablationRun(b *testing.B, mutate func(*ubs.Config)) {
 	for i := 0; i < b.N; i++ {
 		cfg := ubs.DefaultConfig()
 		mutate(&cfg)
-		rep, err := Simulate(UBSCustom(cfg), w, p)
+		rep, err := Simulate(context.Background(), UBSCustom(cfg), w, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,7 +128,7 @@ func BenchmarkHotPath(b *testing.B) {
 // BenchmarkSimulatorThroughput measures end-to-end simulated instructions
 // per second on the full system.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	w, err := Workload("server_001")
+	w, err := ParseWorkload("server_001")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	p.Measure = 100_000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(UBS(), w, p); err != nil {
+		if _, err := Simulate(context.Background(), UBS(), w, p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -190,7 +190,7 @@ func run() int {
 			return 1
 		}
 		defer r.Close()
-		res, err = sim.RunSourceContext(ctx, params, r, *traceFile, d.Name, d.Factory)
+		res, err = sim.Run(ctx, params, r, *traceFile, d.Name, d.Factory)
 		if err != nil {
 			return reportRunErr(err, *statsJSON)
 		}

@@ -11,7 +11,7 @@ import (
 
 // Example demonstrates the basic simulate-and-compare flow on a tiny run.
 func Example() {
-	w, err := ubscache.Workload("spec_001")
+	w, err := ubscache.ParseWorkload("spec_001")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -19,7 +19,7 @@ func Example() {
 	opts.Warmup = 20_000
 	opts.Measure = 50_000
 
-	rep, err := ubscache.Simulate(ubscache.UBS(), w, opts)
+	rep, err := ubscache.Simulate(context.Background(), ubscache.UBS(), w, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -28,13 +28,14 @@ func Example() {
 	// spec_001 ubs true
 }
 
-// ExampleSimulateContext runs a simulation under a context deadline; the
-// run is cancelled between heartbeat intervals if the deadline expires.
-func ExampleSimulateContext() {
+// ExampleSimulate_deadline runs a simulation under a context deadline;
+// the run is cancelled between heartbeat intervals if the deadline
+// expires.
+func ExampleSimulate_deadline() {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
-	w, err := ubscache.Workload("client_001")
+	w, err := ubscache.ParseWorkload("client_001")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func ExampleSimulateContext() {
 	opts.Warmup = 20_000
 	opts.Measure = 50_000
 
-	rep, err := ubscache.SimulateContext(ctx, ubscache.UBS(), w, opts)
+	rep, err := ubscache.Simulate(ctx, ubscache.UBS(), w, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -152,11 +153,12 @@ func ExampleWorkloadNames() {
 
 // ExampleNewSource streams raw instructions from a workload.
 func ExampleNewSource() {
-	w, err := ubscache.Workload("client_001")
+	w, err := ubscache.ParseWorkload("client_001")
 	if err != nil {
 		log.Fatal(err)
 	}
-	src, err := ubscache.NewSource(w)
+	cfg, _ := w.Config() // presets are generator-backed
+	src, err := ubscache.NewSource(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

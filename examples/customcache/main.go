@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,14 +15,14 @@ import (
 )
 
 func main() {
-	w, err := ubscache.Workload("server_002")
+	w, err := ubscache.ParseWorkload("server_002")
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := ubscache.Quick()
+	ctx, opts := context.Background(), ubscache.Quick()
 
 	// Baseline for reference.
-	base, err := ubscache.Simulate(ubscache.Conventional(32), w, opts)
+	base, err := ubscache.Simulate(ctx, ubscache.Conventional(32), w, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func main() {
 		if err := cfg.Validate(); err != nil {
 			log.Fatalf("%s: %v", v.name, err)
 		}
-		rep, err := ubscache.Simulate(ubscache.UBSCustom(cfg), w, opts)
+		rep, err := ubscache.Simulate(ctx, ubscache.UBSCustom(cfg), w, opts)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -21,7 +22,7 @@ func main() {
 	long := flag.Bool("long", false, "use the full harness run lengths")
 	flag.Parse()
 
-	opts := ubscache.Quick()
+	ctx, opts := context.Background(), ubscache.Quick()
 	if *long {
 		opts = ubscache.DefaultOptions()
 	}
@@ -40,13 +41,13 @@ func main() {
 		"workload", "ubs dIPC", "64KB dIPC", "ubs coverage", "64KB coverage")
 	var ubsRatios, c64Ratios []float64
 	for _, name := range names {
-		w, err := ubscache.Workload(name)
+		w, err := ubscache.ParseWorkload(name)
 		if err != nil {
 			log.Fatal(err)
 		}
 		var reps []ubscache.Report
 		for _, d := range designs {
-			rep, err := ubscache.Simulate(d, w, opts)
+			rep, err := ubscache.Simulate(ctx, d, w, opts)
 			if err != nil {
 				log.Fatal(err)
 			}

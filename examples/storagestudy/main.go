@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -20,7 +21,7 @@ func main() {
 	name := flag.String("workload", "server_001", "workload to analyse")
 	flag.Parse()
 
-	w, err := ubscache.Workload(*name)
+	w, err := ubscache.ParseWorkload(*name)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -29,12 +30,12 @@ func main() {
 	// storage-efficiency samples are the per-workload slice of the paper's
 	// Figure 2 / Figure 7 violins (the full-fleet version is
 	// `ubsweep -exp fig2` / `-exp fig7`).
-	opts := ubscache.Quick()
-	base, err := ubscache.Simulate(ubscache.Conventional(32), w, opts)
+	ctx, opts := context.Background(), ubscache.Quick()
+	base, err := ubscache.Simulate(ctx, ubscache.Conventional(32), w, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ubs, err := ubscache.Simulate(ubscache.UBS(), w, opts)
+	ubs, err := ubscache.Simulate(ctx, ubscache.UBS(), w, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

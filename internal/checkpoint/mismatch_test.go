@@ -4,11 +4,14 @@ import (
 	"context"
 	"path/filepath"
 	"testing"
+
+	"ubscache/internal/sim"
 )
 
-// TestGeometryMismatchRejected pins the restore-time shape checks: a
-// checkpoint whose (CRC-valid) meta names a machine of a different shape
-// than the one its state was captured from must fail Resume with an
+// TestGeometryMismatchRejected pins the restore-time shape and index
+// checks: a checkpoint whose (CRC-valid) meta names a machine of a
+// different shape than the one its state was captured from, or whose
+// state carries a buffer index out of range, must fail Resume with an
 // error — before the machine runs, and without panicking.
 func TestGeometryMismatchRejected(t *testing.T) {
 	states := map[string][]byte{}
@@ -18,23 +21,39 @@ func TestGeometryMismatchRejected(t *testing.T) {
 	for _, tc := range []struct {
 		name, from string
 		edit       func(*Meta)
+		editState  func(*sim.MachineState)
 	}{
-		{"cache-sets", "conv:32", func(m *Meta) { m.Design = "conv:64" }},
-		{"frontend-kind", "ubs", func(m *Meta) { m.Design = "conv:32" }},
-		{"rob-size", "conv:32", func(m *Meta) { m.Params.Core.ROBSize = 256 }},
-		{"replacement-policy", "ghrp", func(m *Meta) { m.Design = "conv:32" }},
-		{"admission-filter", "acic", func(m *Meta) { m.Design = "conv:32" }},
-		{"ubs-geometry", "ubs", func(m *Meta) { m.Design = "ubs:64" }},
-		{"btb-size", "conv:32", func(m *Meta) { m.Params.BPU.BTBEntries = 2048 }},
-		{"l2-sets", "conv:32", func(m *Meta) { m.Params.Hierarchy.L2Sets = 512 }},
-		{"no-data-cache", "conv:32", func(m *Meta) { m.Params.DataCache = false }},
+		{"cache-sets", "conv:32", func(m *Meta) { m.Design = "conv:64" }, nil},
+		{"frontend-kind", "ubs", func(m *Meta) { m.Design = "conv:32" }, nil},
+		{"rob-size", "conv:32", func(m *Meta) { m.Params.Core.ROBSize = 256 }, nil},
+		{"replacement-policy", "ghrp", func(m *Meta) { m.Design = "conv:32" }, nil},
+		{"admission-filter", "acic", func(m *Meta) { m.Design = "conv:32" }, nil},
+		{"ubs-geometry", "ubs", func(m *Meta) { m.Design = "ubs:64" }, nil},
+		{"btb-size", "conv:32", func(m *Meta) { m.Params.BPU.BTBEntries = 2048 }, nil},
+		{"l2-sets", "conv:32", func(m *Meta) { m.Params.Hierarchy.L2Sets = 512 }, nil},
+		{"no-data-cache", "conv:32", func(m *Meta) { m.Params.DataCache = false }, nil},
+		{"rob-head", "conv:32", nil, func(st *sim.MachineState) {
+			st.Core.ROBHead = len(st.Core.ROB)
+			st.Core.ROBCount = max(st.Core.ROBCount, 1)
+		}},
+		{"decode-head", "conv:32", nil, func(st *sim.MachineState) {
+			st.Core.DecodeHead = len(st.Core.Decode) + 1
+		}},
+		{"ftq-head", "conv:32", nil, func(st *sim.MachineState) {
+			st.FTQ.Head = len(st.FTQ.Queue) + 1
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			meta, st, err := Decode(states[tc.from])
 			if err != nil {
 				t.Fatal(err)
 			}
-			tc.edit(&meta)
+			if tc.edit != nil {
+				tc.edit(&meta)
+			}
+			if tc.editState != nil {
+				tc.editState(st)
+			}
 			data, err := Encode(meta, st)
 			if err != nil {
 				t.Fatal(err)

@@ -534,10 +534,18 @@ func (c *Core) stall(r StallReason) {
 	c.st.Stats.Stalls[r]++
 }
 
-// Validate checks internal consistency; tests call it after runs.
+// Validate checks internal consistency, including that the ROB and
+// decode-queue heads index their buffers. sim.Machine.Restore calls it on
+// restored state; tests call it after runs.
 func (c *Core) Validate() error {
 	if c.st.ROBCount < 0 || c.st.ROBCount > c.cfg.ROBSize {
 		return fmt.Errorf("core: ROB count %d out of range", c.st.ROBCount)
+	}
+	if c.st.ROBHead < 0 || c.st.ROBHead >= c.cfg.ROBSize {
+		return fmt.Errorf("core: ROB head %d out of range [0, %d)", c.st.ROBHead, c.cfg.ROBSize)
+	}
+	if c.st.DecodeHead < 0 || c.st.DecodeHead > len(c.st.Decode) {
+		return fmt.Errorf("core: decode head %d out of range [0, %d]", c.st.DecodeHead, len(c.st.Decode))
 	}
 	if c.st.Busy.Sched != len(c.st.Busy.Heap) {
 		return fmt.Errorf("core: inflight count %d disagrees with heap size %d",

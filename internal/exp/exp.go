@@ -30,11 +30,11 @@ type Options struct {
 	// Out receives progress lines; nil silences progress.
 	Out io.Writer
 	// Exec, when non-nil, executes simulation points in place of direct
-	// sim.Run calls. The runner subsystem injects its parallel memoizing
-	// store here; p is already normalised.
-	Exec func(p sim.Params, w workloadspec.Workload, design string, factory sim.FrontendFactory) (sim.Result, error)
+	// workloadspec.Run calls. The runner subsystem injects its parallel
+	// memoizing store here; the point's Params are already normalised.
+	Exec func(SimPoint) (sim.Result, error)
 	// Context, when non-nil, cancels in-flight simulations between
-	// heartbeat intervals (see sim.RunContext). Exec implementations are
+	// heartbeat intervals (see sim.Run). Exec implementations are
 	// expected to honour their own context.
 	Context context.Context
 }
@@ -213,13 +213,11 @@ func (r *Runner) run(wcfg workload.Config, design string, factory sim.FrontendFa
 // dry-run output is thrown away).
 func (r *Runner) runWorkload(w workloadspec.Workload, design string, factory sim.FrontendFactory) (sim.Result, error) {
 	key := w.Ident() + "|" + design
+	pt := SimPoint{Params: r.Opts.params(), Workload: w, Design: design, Factory: factory}
 	if r.capturing {
 		if !r.simSeen[key] {
 			r.simSeen[key] = true
-			r.sims = append(r.sims, SimPoint{
-				Params: r.Opts.params(), Workload: w,
-				Design: design, Factory: factory,
-			})
+			r.sims = append(r.sims, pt)
 		}
 		return sim.Result{Workload: w.Name, Design: design}, nil
 	}
@@ -235,9 +233,9 @@ func (r *Runner) runWorkload(w workloadspec.Workload, design string, factory sim
 		err error
 	)
 	if r.Opts.Exec != nil {
-		res, err = r.Opts.Exec(r.Opts.params(), w, design, factory)
+		res, err = r.Opts.Exec(pt)
 	} else {
-		res, err = workloadspec.Run(r.Opts.ctx(), r.Opts.params(), w, design, factory)
+		res, err = workloadspec.Run(r.Opts.ctx(), pt.Params, w, design, factory)
 	}
 	if err != nil {
 		return sim.Result{}, err

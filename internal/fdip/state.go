@@ -1,5 +1,7 @@
 package fdip
 
+import "fmt"
+
 // State is the FTQ's mutable state: the queue with its head index, the
 // absolute walk counters, and the walker flags. EnqueuedTot doubles as
 // the trace replay cursor — it counts exactly the successful src.Next()
@@ -32,3 +34,12 @@ type State struct {
 // trace source at instruction EnqueuedTot to the caller (see
 // sim.Machine.Restore).
 func (f *FTQ) State() *State { return &f.st }
+
+// Validate checks that the queue head indexes the queue. A restored state
+// that fails it would panic at the next push or Pop.
+func (f *FTQ) Validate() error {
+	if f.st.Head < 0 || f.st.Head > len(f.st.Queue) {
+		return fmt.Errorf("fdip: queue head %d out of range [0, %d]", f.st.Head, len(f.st.Queue))
+	}
+	return nil
+}

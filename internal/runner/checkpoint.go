@@ -6,8 +6,8 @@ import (
 	"path/filepath"
 
 	"ubscache/internal/checkpoint"
+	"ubscache/internal/exp"
 	"ubscache/internal/sim"
-	"ubscache/internal/workloadspec"
 )
 
 // ckPath is the checkpoint file for a simulation point, keyed by the
@@ -26,9 +26,10 @@ func (s *Store) ckPath(key string) string { return filepath.Join(s.Dir, key+".ub
 // sources of truth. On success the checkpoint is removed (the result
 // cache entry supersedes it); on error it is kept so a retried sweep
 // resumes from where this attempt stopped.
-func (s *Store) runCheckpointed(ctx context.Context, key string, p sim.Params, w workloadspec.Workload, design string, factory sim.FrontendFactory) (sim.Result, error) {
+func (s *Store) runCheckpointed(ctx context.Context, key string, pt exp.SimPoint) (sim.Result, error) {
 	ckpath := s.ckPath(key)
-	meta := checkpoint.Meta{Workload: w.Spec, WorkloadName: w.Name, Design: design, Params: p}
+	p, w := pt.Params, pt.Workload
+	meta := checkpoint.Meta{Workload: w.Spec, WorkloadName: w.Name, Design: pt.Design, Params: p}
 	save := func(data []byte) error { return writeFileAtomic(ckpath, data) }
 
 	if r, err := checkpoint.Resume(ctx, ckpath, checkpoint.ResumeOptions{
@@ -54,7 +55,7 @@ func (s *Store) runCheckpointed(ctx context.Context, key string, p sim.Params, w
 	if c, ok := src.(interface{ Close() error }); ok {
 		defer c.Close()
 	}
-	m, err := sim.NewMachine(ctx, p, src, w.Name, design, factory)
+	m, err := sim.NewMachine(ctx, p, src, w.Name, pt.Design, pt.Factory)
 	if err != nil {
 		return sim.Result{}, err
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ubscache/internal/checkpoint"
+	"ubscache/internal/exp"
 	"ubscache/internal/sim"
 	"ubscache/internal/workloadspec"
 )
@@ -47,7 +48,8 @@ func TestStoreCheckpointedRun(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStore(dir)
 	s.CheckpointEvery = 4_000
-	key := WorkloadKey(p, w, "ubs")
+	pt := exp.SimPoint{Params: p, Workload: w, Design: "ubs", Factory: d.Factory}
+	key := Key(pt)
 
 	// Simulate a crash: drive part of the run, persisting checkpoints,
 	// then abandon it mid-measure. The design string "ubs" is
@@ -77,7 +79,7 @@ func TestStoreCheckpointedRun(t *testing.T) {
 
 	// The retrying Store resumes from the checkpoint and converges to
 	// the uninterrupted result.
-	res, err := s.RunWorkloadContext(context.Background(), p, w, "ubs", d.Factory)
+	res, _, err := s.Run(context.Background(), pt)
 	if err != nil {
 		t.Fatalf("checkpointed run: %v", err)
 	}
@@ -118,7 +120,8 @@ func TestStoreCheckpointedFresh(t *testing.T) {
 
 	s := NewStore(t.TempDir())
 	s.CheckpointEvery = 7_000
-	res, err := s.RunWorkloadContext(context.Background(), p, w, "conv:32", d.Factory)
+	pt := exp.SimPoint{Params: p, Workload: w, Design: "conv:32", Factory: d.Factory}
+	res, _, err := s.Run(context.Background(), pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +129,7 @@ func TestStoreCheckpointedFresh(t *testing.T) {
 	if string(got) != string(want) {
 		t.Errorf("checkpointed fresh run diverged:\n got:  %s\n want: %s", got, want)
 	}
-	if _, err := os.Stat(s.ckPath(WorkloadKey(p, w, "conv:32"))); !os.IsNotExist(err) {
+	if _, err := os.Stat(s.ckPath(Key(pt))); !os.IsNotExist(err) {
 		t.Errorf("checkpoint not removed after success (err=%v)", err)
 	}
 }
@@ -145,11 +148,11 @@ func TestStoreCorruptCheckpointFallsBack(t *testing.T) {
 	}
 	s := NewStore(t.TempDir())
 	s.CheckpointEvery = 7_000
-	key := WorkloadKey(p, w, "conv:32")
-	if err := os.WriteFile(s.ckPath(key), []byte("not a checkpoint"), 0o644); err != nil {
+	pt := exp.SimPoint{Params: p, Workload: w, Design: "conv:32", Factory: d.Factory}
+	if err := os.WriteFile(s.ckPath(Key(pt)), []byte("not a checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.RunWorkloadContext(context.Background(), p, w, "conv:32", d.Factory)
+	res, _, err := s.Run(context.Background(), pt)
 	if err != nil {
 		t.Fatalf("corrupt checkpoint should fall back, got %v", err)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"ubscache/internal/exp"
 	"ubscache/internal/sim"
-	"ubscache/internal/workloadspec"
 )
 
 // Sweep runs a Spec end to end. Execution has four phases:
@@ -80,8 +79,9 @@ func (sw *Sweep) RunContext(ctx context.Context) (*Outcome, error) {
 	r := exp.NewRunner(exp.Options{
 		Params:    sw.Spec.SimParams(),
 		PerFamily: sw.Spec.PerFamily,
-		Exec: func(p sim.Params, w workloadspec.Workload, design string, factory sim.FrontendFactory) (sim.Result, error) {
-			return store.RunWorkloadContext(ctx, p, w, design, factory)
+		Exec: func(pt exp.SimPoint) (sim.Result, error) {
+			res, _, err := store.Run(ctx, pt)
+			return res, err
 		},
 	})
 
@@ -107,7 +107,7 @@ func (sw *Sweep) RunContext(ctx context.Context) (*Outcome, error) {
 		}
 		pl := expPlan{e: e, sims: sims, aux: aux}
 		for _, pt := range sims {
-			key := WorkloadKey(pt.Params, pt.Workload, pt.Design)
+			key := Key(pt)
 			pl.keys = append(pl.keys, key)
 			if _, ok := points[key]; !ok {
 				points[key] = pt
@@ -116,7 +116,7 @@ func (sw *Sweep) RunContext(ctx context.Context) (*Outcome, error) {
 				tasks = append(tasks, Task{
 					Name: pt.Workload.Name + "/" + pt.Design,
 					Run: func() error {
-						_, err := store.RunWorkloadContext(ctx, pt.Params, pt.Workload, pt.Design, pt.Factory)
+						_, _, err := store.Run(ctx, pt)
 						return err
 					},
 				})

@@ -11,42 +11,37 @@ import (
 	"sync"
 	"time"
 
+	"ubscache/internal/exp"
 	"ubscache/internal/sim"
-	"ubscache/internal/workload"
 	"ubscache/internal/workloadspec"
 )
 
 // Key returns the content hash identifying one simulation point: the
-// normalised parameters, the full workload configuration, and the design
-// name. Equal keys denote equal results across processes because every
-// simulation is a deterministic function of exactly these inputs.
-func Key(p sim.Params, wcfg workload.Config, design string) string {
+// parameters, the workload, and the design name. Equal keys denote equal
+// results across processes because every simulation is a deterministic
+// function of exactly these inputs.
+//
+// A generator-backed workload hashes its materialised workload.Config,
+// so every "preset:x"-vs-bare-"x"-vs-explicit-config spelling of the same
+// program shares one key, and disk caches written before the workload
+// registry stay valid. Source-backed workloads (mix, trace, champsim)
+// hash their canonical resolved Spec — mix files are inlined at parse
+// time, so the key covers the clients and seed, not a file path. The
+// "workload-spec" tag keeps the two hash domains disjoint. The factory
+// is not hashed: the design name stands for it.
+func Key(pt exp.SimPoint) string {
 	h := sha256.New()
 	enc := json.NewEncoder(h)
-	// The structs are flat with exported fields only; encoding cannot fail.
-	enc.Encode(p)
-	enc.Encode(wcfg)
-	enc.Encode(design)
-	return hex.EncodeToString(h.Sum(nil)[:16])
-}
-
-// WorkloadKey extends Key to registry workloads. Generator-backed
-// workloads hash their materialised workload.Config through Key, so every
-// historical cache entry and every "preset:x"-vs-bare-"x" spelling of the
-// same program keeps the same key. Source-backed workloads (mix, trace,
-// champsim) hash their canonical resolved Spec — mix files are inlined at
-// parse time, so the key covers the clients and seed, not a file path.
-// The "workload-spec" tag keeps the two hash domains disjoint.
-func WorkloadKey(p sim.Params, w workloadspec.Workload, design string) string {
-	if cfg, ok := w.Config(); ok {
-		return Key(p, cfg, design)
+	// The encoded values are plain data with exported fields; encoding
+	// cannot fail.
+	enc.Encode(pt.Params)
+	if cfg, ok := pt.Workload.Config(); ok {
+		enc.Encode(cfg)
+	} else {
+		enc.Encode("workload-spec")
+		enc.Encode(pt.Workload.Spec)
 	}
-	h := sha256.New()
-	enc := json.NewEncoder(h)
-	enc.Encode(p)
-	enc.Encode("workload-spec")
-	enc.Encode(w.Spec)
-	enc.Encode(design)
+	enc.Encode(pt.Design)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
@@ -81,18 +76,12 @@ type Store struct {
 	// CheckpointEvery measured instructions (atomic rename,
 	// content-keyed like the result cache), and a run that finds an
 	// existing checkpoint for its key resumes from it instead of
-	// starting over. 0 disables; requires a non-empty Dir. Injection
-	// seams (SimWorkload, SimContext, Sim) bypass checkpointing.
+	// starting over. 0 disables; requires a non-empty Dir. A non-nil
+	// Sim bypasses checkpointing.
 	CheckpointEvery uint64
-	// Sim runs one simulation; nil means sim.Run (tests inject stubs). It
-	// only sees generator-backed workloads; SimWorkload covers all kinds.
-	Sim func(p sim.Params, wcfg workload.Config, design string, factory sim.FrontendFactory) (sim.Result, error)
-	// SimContext, when non-nil, takes precedence over Sim and receives
-	// the caller's context (tests inject blocking, cancellable stubs).
-	SimContext func(ctx context.Context, p sim.Params, wcfg workload.Config, design string, factory sim.FrontendFactory) (sim.Result, error)
-	// SimWorkload, when non-nil, takes precedence over SimContext and Sim
-	// for every workload kind, including source-backed ones.
-	SimWorkload func(ctx context.Context, p sim.Params, w workloadspec.Workload, design string, factory sim.FrontendFactory) (sim.Result, error)
+	// Sim runs one simulation point; nil means the real simulation
+	// (workloadspec.Run). Tests inject stubs here.
+	Sim func(ctx context.Context, pt exp.SimPoint) (sim.Result, error)
 
 	mu sync.Mutex
 	//ubs:guardedby(mu)
@@ -113,40 +102,15 @@ func NewStore(dir string) *Store {
 	}
 }
 
-// Run returns the memoized result for (p, wcfg, design), computing it at
-// most once per key no matter how many goroutines ask concurrently.
-func (s *Store) Run(p sim.Params, wcfg workload.Config, design string, factory sim.FrontendFactory) (sim.Result, error) {
-	return s.RunContext(context.Background(), p, wcfg, design, factory)
-}
-
-// RunContext is Run honouring ctx: an uncached computation is cancelled
-// between heartbeat intervals (see sim.RunContext) and its error is not
-// memoized, so a resumed sweep retries the point.
-func (s *Store) RunContext(ctx context.Context, p sim.Params, wcfg workload.Config, design string, factory sim.FrontendFactory) (sim.Result, error) {
-	res, _, err := s.RunWorkloadShared(ctx, p, workloadspec.FromConfig(wcfg), design, factory)
-	return res, err
-}
-
-// RunContextShared is RunContext that additionally reports whether the
-// result was shared (see RunWorkloadShared).
-func (s *Store) RunContextShared(ctx context.Context, p sim.Params, wcfg workload.Config, design string, factory sim.FrontendFactory) (sim.Result, bool, error) {
-	return s.RunWorkloadShared(ctx, p, workloadspec.FromConfig(wcfg), design, factory)
-}
-
-// RunWorkloadContext is RunContext over a registry workload of any kind.
-// Its signature matches exp.Options.Exec.
-func (s *Store) RunWorkloadContext(ctx context.Context, p sim.Params, w workloadspec.Workload, design string, factory sim.FrontendFactory) (sim.Result, error) {
-	res, _, err := s.RunWorkloadShared(ctx, p, w, design, factory)
-	return res, err
-}
-
-// RunWorkloadShared is RunWorkloadContext that additionally reports
-// whether the result was shared — served from the memo, a disk-cache
-// entry, or another caller's in-flight execution — rather than computed
-// on behalf of this call. The serving layer uses it to mark deduplicated
-// jobs.
-func (s *Store) RunWorkloadShared(ctx context.Context, p sim.Params, w workloadspec.Workload, design string, factory sim.FrontendFactory) (sim.Result, bool, error) {
-	key := WorkloadKey(p, w, design)
+// Run returns the memoized result for pt, computing it at most once per
+// Key no matter how many goroutines ask concurrently. An uncached
+// computation honours ctx (see sim.Run), and its error is not memoized,
+// so a later request retries the point. The bool reports whether the
+// result came from the memo, a disk-cache entry, or another caller's
+// in-flight execution rather than being computed on behalf of this call;
+// the serving layer uses it to mark deduplicated jobs.
+func (s *Store) Run(ctx context.Context, pt exp.SimPoint) (sim.Result, bool, error) {
+	key := Key(pt)
 	s.mu.Lock()
 	if res, ok := s.results[key]; ok {
 		s.mu.Unlock()
@@ -161,7 +125,7 @@ func (s *Store) RunWorkloadShared(ctx context.Context, p sim.Params, w workloads
 	s.inflight[key] = f
 	s.mu.Unlock()
 
-	res, meta, err := s.compute(ctx, key, p, w, design, factory)
+	res, meta, err := s.compute(ctx, key, pt)
 	f.res, f.err = res, err
 	s.mu.Lock()
 	if err == nil {
@@ -189,12 +153,12 @@ func (s *Store) Meta(key string) RunMeta {
 	return s.meta[key]
 }
 
-func (s *Store) compute(ctx context.Context, key string, p sim.Params, w workloadspec.Workload, design string, factory sim.FrontendFactory) (sim.Result, RunMeta, error) {
+func (s *Store) compute(ctx context.Context, key string, pt exp.SimPoint) (sim.Result, RunMeta, error) {
 	if res, sec, ok := s.loadDisk(key); ok {
 		return res, RunMeta{Seconds: sec, Disk: true}, nil
 	}
 	t0 := time.Now()
-	res, err := s.simulate(ctx, key, p, w, design, factory)
+	res, err := s.simulate(ctx, key, pt)
 	if err != nil {
 		return sim.Result{}, RunMeta{}, err
 	}
@@ -205,34 +169,22 @@ func (s *Store) compute(ctx context.Context, key string, p sim.Params, w workloa
 }
 
 // simulate isolates per-run panics into errors so one bad design point
-// cannot take down a whole sweep. The injection seams dispatch in
-// precedence order: SimWorkload sees every kind; SimContext and Sim keep
-// their historical workload.Config signature and so only see
-// generator-backed workloads (source-backed kinds fall through to the
-// real simulation). With CheckpointEvery set and no seam installed, the
-// real simulation runs through the checkpointing driver instead, keyed
-// by the same content hash as the result cache entry.
-func (s *Store) simulate(ctx context.Context, key string, p sim.Params, w workloadspec.Workload, design string, factory sim.FrontendFactory) (res sim.Result, err error) {
+// cannot take down a whole sweep. With CheckpointEvery set and no Sim
+// stub installed, the real simulation runs through the checkpointing
+// driver, keyed by the same content hash as the result cache entry.
+func (s *Store) simulate(ctx context.Context, key string, pt exp.SimPoint) (res sim.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("runner: %s on %s panicked: %v", design, w.Name, r)
+			err = fmt.Errorf("runner: %s on %s panicked: %v", pt.Design, pt.Workload.Name, r)
 		}
 	}()
-	if s.SimWorkload != nil {
-		return s.SimWorkload(ctx, p, w, design, factory)
+	switch {
+	case s.Sim != nil:
+		return s.Sim(ctx, pt)
+	case s.CheckpointEvery > 0 && s.Dir != "":
+		return s.runCheckpointed(ctx, key, pt)
 	}
-	if cfg, ok := w.Config(); ok {
-		if s.SimContext != nil {
-			return s.SimContext(ctx, p, cfg, design, factory)
-		}
-		if s.Sim != nil {
-			return s.Sim(p, cfg, design, factory)
-		}
-	}
-	if s.CheckpointEvery > 0 && s.Dir != "" {
-		return s.runCheckpointed(ctx, key, p, w, design, factory)
-	}
-	return workloadspec.Run(ctx, p, w, design, factory)
+	return workloadspec.Run(ctx, pt.Params, pt.Workload, pt.Design, pt.Factory)
 }
 
 // diskRecord is the on-disk cache entry; sim.Result round-trips through

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -8,11 +9,14 @@ import (
 	"time"
 
 	"ubscache/internal/core"
+	"ubscache/internal/exp"
 	"ubscache/internal/sim"
 	"ubscache/internal/workload"
+	"ubscache/internal/workloadspec"
 )
 
-func testPoint(t *testing.T, family workload.Family, idx int) (sim.Params, workload.Config) {
+// testPoint is a short "ubs" point on the idx-th preset of family.
+func testPoint(t *testing.T, family workload.Family, idx int) exp.SimPoint {
 	t.Helper()
 	p := sim.DefaultParams()
 	p.Warmup = 10_000
@@ -21,18 +25,24 @@ func testPoint(t *testing.T, family workload.Family, idx int) (sim.Params, workl
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, wcfg
+	return exp.SimPoint{Params: p, Workload: workloadspec.FromConfig(wcfg), Design: "ubs"}
+}
+
+// runPoint is s.Run without a deadline, ignoring the shared flag.
+func runPoint(s *Store, pt exp.SimPoint) (sim.Result, error) {
+	res, _, err := s.Run(context.Background(), pt)
+	return res, err
 }
 
 // stubSim returns a Sim hook that counts invocations and fabricates a
 // deterministic result after an optional delay.
-func stubSim(calls *atomic.Int64, delay time.Duration) func(sim.Params, workload.Config, string, sim.FrontendFactory) (sim.Result, error) {
-	return func(p sim.Params, wcfg workload.Config, design string, _ sim.FrontendFactory) (sim.Result, error) {
+func stubSim(calls *atomic.Int64, delay time.Duration) func(context.Context, exp.SimPoint) (sim.Result, error) {
+	return func(_ context.Context, pt exp.SimPoint) (sim.Result, error) {
 		calls.Add(1)
 		time.Sleep(delay)
 		return sim.Result{
-			Workload: wcfg.Name,
-			Design:   design,
+			Workload: pt.Workload.Name,
+			Design:   pt.Design,
 			Core:     core.Stats{Cycles: 1000, Instructions: 1500},
 		}, nil
 	}
@@ -48,7 +58,7 @@ func TestStoreSingleflight(t *testing.T) {
 	// The delay keeps the first simulation in flight while every other
 	// goroutine arrives, so a cache-check-then-run race would overcount.
 	s.Sim = stubSim(&calls, 50*time.Millisecond)
-	p, wcfg := testPoint(t, workload.FamilyServer, 0)
+	pt := testPoint(t, workload.FamilyServer, 0)
 
 	const n = 32
 	var wg sync.WaitGroup
@@ -58,7 +68,7 @@ func TestStoreSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = s.Run(p, wcfg, "ubs", nil)
+			results[i], errs[i] = runPoint(s, pt)
 		}(i)
 	}
 	wg.Wait()
@@ -70,7 +80,7 @@ func TestStoreSingleflight(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("request %d: %v", i, errs[i])
 		}
-		if results[i].Core.Cycles != 1000 || results[i].Workload != wcfg.Name {
+		if results[i].Core.Cycles != 1000 || results[i].Workload != pt.Workload.Name {
 			t.Fatalf("request %d got %+v", i, results[i])
 		}
 	}
@@ -80,25 +90,15 @@ func TestStoreDistinctKeysRunSeparately(t *testing.T) {
 	var calls atomic.Int64
 	s := NewStore("")
 	s.Sim = stubSim(&calls, 0)
-	p, wcfg := testPoint(t, workload.FamilyServer, 0)
-	p2 := p
-	p2.Measure = 30_000
-	wcfg2, err := workload.Preset(workload.FamilyServer, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pt := testPoint(t, workload.FamilyServer, 0)
+	otherDesign := pt
+	otherDesign.Design = "conv-32KB"
+	otherWorkload := testPoint(t, workload.FamilyServer, 1)
+	otherParams := pt
+	otherParams.Params.Measure = 30_000
 
-	for _, c := range []struct {
-		p      sim.Params
-		w      workload.Config
-		design string
-	}{
-		{p, wcfg, "ubs"},
-		{p, wcfg, "conv-32KB"}, // same workload, other design
-		{p, wcfg2, "ubs"},      // other workload
-		{p2, wcfg, "ubs"},      // other params
-	} {
-		if _, err := s.Run(c.p, c.w, c.design, nil); err != nil {
+	for _, c := range []exp.SimPoint{pt, otherDesign, otherWorkload, otherParams} {
+		if _, err := runPoint(s, c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,7 +106,7 @@ func TestStoreDistinctKeysRunSeparately(t *testing.T) {
 		t.Fatalf("4 distinct points ran %d simulations", got)
 	}
 	// Re-running any of them hits the memo.
-	if _, err := s.Run(p, wcfg, "ubs", nil); err != nil {
+	if _, err := runPoint(s, pt); err != nil {
 		t.Fatal(err)
 	}
 	if got := calls.Load(); got != 4 {
@@ -115,18 +115,20 @@ func TestStoreDistinctKeysRunSeparately(t *testing.T) {
 }
 
 func TestKeyStability(t *testing.T) {
-	p, wcfg := testPoint(t, workload.FamilyServer, 0)
-	k1 := Key(p, wcfg, "ubs")
-	k2 := Key(p, wcfg, "ubs")
+	pt := testPoint(t, workload.FamilyServer, 0)
+	k1 := Key(pt)
+	k2 := Key(testPoint(t, workload.FamilyServer, 0))
 	if k1 != k2 {
 		t.Fatalf("same inputs, different keys: %s vs %s", k1, k2)
 	}
-	if k := Key(p, wcfg, "conv-32KB"); k == k1 {
+	otherDesign := pt
+	otherDesign.Design = "conv-32KB"
+	if k := Key(otherDesign); k == k1 {
 		t.Fatal("different design, same key")
 	}
-	p2 := p
-	p2.Warmup++
-	if k := Key(p2, wcfg, "ubs"); k == k1 {
+	otherParams := pt
+	otherParams.Params.Warmup++
+	if k := Key(otherParams); k == k1 {
 		t.Fatal("different params, same key")
 	}
 }
@@ -135,12 +137,12 @@ func TestKeyStability(t *testing.T) {
 // dir serves the result without simulating, so interrupted sweeps resume.
 func TestStoreDiskCache(t *testing.T) {
 	dir := t.TempDir()
-	p, wcfg := testPoint(t, workload.FamilyServer, 0)
+	pt := testPoint(t, workload.FamilyServer, 0)
 
 	var calls1 atomic.Int64
 	s1 := NewStore(dir)
 	s1.Sim = stubSim(&calls1, 0)
-	res1, err := s1.Run(p, wcfg, "ubs", nil)
+	res1, err := runPoint(s1, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,18 +153,20 @@ func TestStoreDiskCache(t *testing.T) {
 	var calls2 atomic.Int64
 	s2 := NewStore(dir)
 	s2.Sim = stubSim(&calls2, 0)
-	res2, err := s2.Run(p, wcfg, "ubs", nil)
+	res2, shared, err := s2.Run(context.Background(), pt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if calls2.Load() != 0 {
 		t.Fatalf("second store ran %d simulations despite the disk cache", calls2.Load())
 	}
+	if !shared {
+		t.Error("disk hit not reported as shared")
+	}
 	if res1.Core != res2.Core || res1.Workload != res2.Workload || res1.Design != res2.Design {
 		t.Fatalf("disk round-trip changed the result: %+v vs %+v", res1, res2)
 	}
-	key := Key(p, wcfg, "ubs")
-	if !s2.Meta(key).Disk {
+	if !s2.Meta(Key(pt)).Disk {
 		t.Error("disk hit not recorded in meta")
 	}
 }
@@ -172,18 +176,18 @@ func TestStoreDiskCache(t *testing.T) {
 func TestStorePanicIsolation(t *testing.T) {
 	var calls atomic.Int64
 	s := NewStore("")
-	s.Sim = func(p sim.Params, wcfg workload.Config, design string, _ sim.FrontendFactory) (sim.Result, error) {
+	s.Sim = func(_ context.Context, pt exp.SimPoint) (sim.Result, error) {
 		if calls.Add(1) == 1 {
 			panic("synthetic failure")
 		}
-		return sim.Result{Workload: wcfg.Name, Design: design}, nil
+		return sim.Result{Workload: pt.Workload.Name, Design: pt.Design}, nil
 	}
-	p, wcfg := testPoint(t, workload.FamilyServer, 0)
-	if _, err := s.Run(p, wcfg, "ubs", nil); err == nil {
+	pt := testPoint(t, workload.FamilyServer, 0)
+	if _, err := runPoint(s, pt); err == nil {
 		t.Fatal("panic did not surface as an error")
 	}
 	// Errors are not cached: the retry succeeds.
-	if _, err := s.Run(p, wcfg, "ubs", nil); err != nil {
+	if _, err := runPoint(s, pt); err != nil {
 		t.Fatalf("retry after panic: %v", err)
 	}
 	if calls.Load() != 2 {
@@ -194,17 +198,17 @@ func TestStorePanicIsolation(t *testing.T) {
 func TestStoreErrorNotCached(t *testing.T) {
 	var calls atomic.Int64
 	s := NewStore("")
-	s.Sim = func(sim.Params, workload.Config, string, sim.FrontendFactory) (sim.Result, error) {
+	s.Sim = func(context.Context, exp.SimPoint) (sim.Result, error) {
 		if calls.Add(1) == 1 {
 			return sim.Result{}, fmt.Errorf("transient")
 		}
 		return sim.Result{Workload: "w", Design: "d"}, nil
 	}
-	p, wcfg := testPoint(t, workload.FamilyServer, 0)
-	if _, err := s.Run(p, wcfg, "ubs", nil); err == nil {
+	pt := testPoint(t, workload.FamilyServer, 0)
+	if _, err := runPoint(s, pt); err == nil {
 		t.Fatal("error swallowed")
 	}
-	if _, err := s.Run(p, wcfg, "ubs", nil); err != nil {
+	if _, err := runPoint(s, pt); err != nil {
 		t.Fatalf("error was cached: %v", err)
 	}
 }

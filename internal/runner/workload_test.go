@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"ubscache/internal/exp"
 	"ubscache/internal/sim"
 	"ubscache/internal/workload"
 	"ubscache/internal/workloadspec"
@@ -37,63 +38,66 @@ func mixWorkload(t *testing.T, seed int64) workloadspec.Workload {
 // workload registry, and the "preset:x" vs bare "x" spellings, all dedup
 // to one entry — while source-backed workloads get their own stable keys.
 func TestWorkloadKeyLegacyEquality(t *testing.T) {
-	p, wcfg := testPoint(t, workload.FamilyServer, 0)
-	legacy := Key(p, wcfg, "ubs")
+	pt := testPoint(t, workload.FamilyServer, 0) // an explicit config
+	legacy := Key(pt)
+	with := func(w workloadspec.Workload, design string) string {
+		return Key(exp.SimPoint{Params: pt.Params, Workload: w, Design: design})
+	}
 
-	bare, err := workloadspec.ParseWorkload(wcfg.Name)
+	bare, err := workloadspec.ParseWorkload(pt.Workload.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prefixed, err := workloadspec.ParseWorkload("preset:" + wcfg.Name)
+	prefixed, err := workloadspec.ParseWorkload("preset:" + pt.Workload.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k := WorkloadKey(p, bare, "ubs"); k != legacy {
+	if k := with(bare, "ubs"); k != legacy {
 		t.Errorf("bare preset key %s != legacy key %s", k, legacy)
 	}
-	if k := WorkloadKey(p, prefixed, "ubs"); k != legacy {
+	if k := with(prefixed, "ubs"); k != legacy {
 		t.Errorf("preset: key %s != legacy key %s", k, legacy)
 	}
 
 	mix := mixWorkload(t, 7)
-	mk := WorkloadKey(p, mix, "ubs")
+	mk := with(mix, "ubs")
 	if mk == legacy {
 		t.Error("mix workload collides with the preset key")
 	}
-	if mk != WorkloadKey(p, mixWorkload(t, 7), "ubs") {
+	if mk != with(mixWorkload(t, 7), "ubs") {
 		t.Error("same mix spec, different keys")
 	}
-	if mk == WorkloadKey(p, mixWorkload(t, 8), "ubs") {
+	if mk == with(mixWorkload(t, 8), "ubs") {
 		t.Error("different mix seed, same key")
 	}
-	if mk == WorkloadKey(p, mix, "conv-32KB") {
+	if mk == with(mix, "conv-32KB") {
 		t.Error("different design, same key")
 	}
 }
 
 // TestStoreWorkloadDedup: spec-backed workloads flow through the same
 // memoizing store as presets — identical specs simulate once, distinct
-// specs separately — via the SimWorkload seam that sees every kind.
+// specs separately — via the Sim seam, which sees every kind.
 func TestStoreWorkloadDedup(t *testing.T) {
 	var calls atomic.Int64
 	s := NewStore("")
-	s.SimWorkload = func(_ context.Context, _ sim.Params, w workloadspec.Workload, design string, _ sim.FrontendFactory) (sim.Result, error) {
+	s.Sim = func(_ context.Context, pt exp.SimPoint) (sim.Result, error) {
 		calls.Add(1)
-		return sim.Result{Workload: w.Name, Design: design}, nil
+		return sim.Result{Workload: pt.Workload.Name, Design: pt.Design}, nil
 	}
-	p, _ := testPoint(t, workload.FamilyServer, 0)
+	pt := testPoint(t, workload.FamilyServer, 0)
 
-	mix := mixWorkload(t, 7)
-	ctx := context.Background()
+	pt.Workload = mixWorkload(t, 7)
 	for i := 0; i < 3; i++ {
-		if _, err := s.RunWorkloadContext(ctx, p, mix, "ubs", nil); err != nil {
+		if _, err := runPoint(s, pt); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("3 identical mix requests ran %d simulations, want 1", calls.Load())
 	}
-	if _, err := s.RunWorkloadContext(ctx, p, mixWorkload(t, 8), "ubs", nil); err != nil {
+	pt.Workload = mixWorkload(t, 8)
+	if _, err := runPoint(s, pt); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 2 {
@@ -202,5 +206,41 @@ func TestSweepWorkloadsValidation(t *testing.T) {
 	s := Spec{Workloads: []workloadspec.Spec{ws}}
 	if err := s.Validate(); err == nil {
 		t.Error("workloads without designs validated, want error")
+	}
+}
+
+// TestKeyPinned pins Key to fixed hex values for one point of every
+// workload spelling. Disk caches, checkpoint file names, ubsd job keys
+// and results.json run keys are all Key values, so a change that
+// re-hashes any of these spellings must fail here, not silently orphan
+// every existing cache entry.
+func TestKeyPinned(t *testing.T) {
+	base := testPoint(t, workload.FamilySPEC, 0)
+	for _, tc := range []struct {
+		workload string // "" keeps testPoint's explicit spec_001 config
+		want     string
+	}{
+		{"server_003", "790347c9229b1dcaa3214a9db7dbc74d"},
+		{"preset:server_003", "790347c9229b1dcaa3214a9db7dbc74d"},
+		{"", "37ecd80773ec80e9574a5109d6a1369d"},
+		// The mix spec inlines the file, so the key covers its clients and
+		// seed, not the path: the repo-root spelling
+		// mix:examples/specs/clients.yaml keys the same.
+		{`{"kind":"mix","config":{"path":"../../examples/specs/clients.yaml","seed":42}}`, "fd466d1fcf5f33dc0fbd4dabb3340398"},
+		// The champsim spec keeps its path verbatim; resolving it does not
+		// open the file, so the repo-root spelling works from here.
+		{"champsim:internal/trace/testdata/tiny.champsim", "3786059657c1408110056e23cab8541c"},
+	} {
+		pt := base
+		if tc.workload != "" {
+			w, err := workloadspec.ParseWorkload(tc.workload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pt.Workload = w
+		}
+		if got := Key(pt); got != tc.want {
+			t.Errorf("Key(%s) = %s, want %s", pt.Workload.Name, got, tc.want)
+		}
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"time"
 
+	"ubscache/internal/exp"
 	"ubscache/internal/runner"
 	"ubscache/internal/sim"
 	"ubscache/internal/workloadspec"
@@ -108,9 +109,7 @@ type SubmitRequest struct {
 // resolved is a validated SubmitRequest: everything the scheduler needs
 // to execute the job, plus the content key identifying its result.
 type resolved struct {
-	design   sim.Design
-	wl       workloadspec.Workload
-	params   sim.Params
+	pt       exp.SimPoint
 	priority Priority
 	key      string
 }
@@ -165,10 +164,8 @@ func (r *SubmitRequest) resolve(base sim.Params) (resolved, error) {
 	if !prio.valid() {
 		return resolved{}, fmt.Errorf("serve: unknown priority %q (have: %s, %s)", prio, Interactive, Batch)
 	}
-	return resolved{
-		design: d, wl: wl, params: p, priority: prio,
-		key: runner.WorkloadKey(p, wl, d.Name),
-	}, nil
+	pt := exp.SimPoint{Params: p, Workload: wl, Design: d.Name, Factory: d.Factory}
+	return resolved{pt: pt, priority: prio, key: runner.Key(pt)}, nil
 }
 
 // SubmitResponse is the POST /jobs reply.

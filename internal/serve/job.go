@@ -8,9 +8,9 @@ import (
 	"sync"
 	"time"
 
+	"ubscache/internal/exp"
 	"ubscache/internal/obs"
 	"ubscache/internal/sim"
-	"ubscache/internal/workloadspec"
 )
 
 // Job is one submitted simulation: its resolved spec, lifecycle state,
@@ -21,9 +21,7 @@ type Job struct {
 	id       string
 	key      string
 	priority Priority
-	design   sim.Design
-	wl       workloadspec.Workload
-	params   sim.Params
+	pt       exp.SimPoint
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -87,8 +85,8 @@ func (j *Job) Status() JobStatus {
 	defer j.mu.Unlock()
 	st := JobStatus{
 		ID: j.id, State: j.state, Priority: j.priority,
-		Design: j.design.Name, Workload: j.wl.Name, Key: j.key,
-		Warmup: j.params.Warmup, Measure: j.params.Measure,
+		Design: j.pt.Design, Workload: j.pt.Workload.Name, Key: j.key,
+		Warmup: j.pt.Params.Warmup, Measure: j.pt.Params.Measure,
 		SubmittedAt: j.submittedAt, Heartbeats: j.beats,
 		FromCache: j.fromCache,
 	}
@@ -246,7 +244,7 @@ func syntheticFinal(j *Job, res *sim.Result) obs.Heartbeat {
 		Workload: res.Workload, Design: res.Design,
 		Phase: "final", Seq: 1,
 		Cycles: res.Core.Cycles, Instructions: res.Core.Instructions,
-		Target: j.params.Measure,
+		Target: j.pt.Params.Measure,
 		IPC:    res.IPC(), RollingIPC: res.IPC(),
 		MPKI: res.MPKI(), RollingMPKI: res.MPKI(),
 		Fetches: res.ICache.Fetches, Misses: res.ICache.Misses,

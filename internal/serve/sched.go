@@ -313,8 +313,8 @@ func (s *sched) run(j *Job) {
 
 	t0 := time.Now()
 
-	params := j.params
-	params.Observer = &jobObserver{j: j}
+	pt := j.pt
+	pt.Params.Observer = &jobObserver{j: j}
 
 	// The store call runs in its own goroutine so a cancellation fires
 	// promptly even while this job is blocked behind another job's
@@ -324,7 +324,7 @@ func (s *sched) run(j *Job) {
 	for {
 		ch := make(chan outcome, 1)
 		go func() {
-			res, shared, err := s.store.RunWorkloadShared(runCtx, params, j.wl, j.design.Name, j.design.Factory)
+			res, shared, err := s.store.Run(runCtx, pt)
 			ch <- outcome{res: res, shared: shared, err: err}
 		}()
 		select {
@@ -364,7 +364,7 @@ func (s *sched) run(j *Job) {
 		}
 		if j.finish(JobDone, &res, fromCache, nil) {
 			s.metrics.finished(JobDone)
-			s.metrics.jobSeconds(j.design.Name).Observe(time.Since(t0).Seconds())
+			s.metrics.jobSeconds(j.pt.Design).Observe(time.Since(t0).Seconds())
 		}
 	case errors.Is(o.err, context.Canceled) || errors.Is(o.err, context.DeadlineExceeded):
 		if j.finish(JobCancelled, nil, false, o.err) {

@@ -115,8 +115,7 @@ func (s *Server) Submit(req SubmitRequest) (*Job, error) {
 	}
 	ctx, cancel := context.WithCancel(s.base)
 	j := &Job{
-		key: rv.key, priority: rv.priority,
-		design: rv.design, wl: rv.wl, params: rv.params,
+		key: rv.key, priority: rv.priority, pt: rv.pt,
 		ctx: ctx, cancel: cancel,
 		log:   newEventLog(),
 		state: JobQueued, submittedAt: time.Now(),

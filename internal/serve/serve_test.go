@@ -11,9 +11,9 @@ import (
 	"time"
 
 	"ubscache/internal/core"
+	"ubscache/internal/exp"
 	"ubscache/internal/runner"
 	"ubscache/internal/sim"
-	"ubscache/internal/workload"
 )
 
 // stubStore returns a Store whose simulations are fabricated: each
@@ -21,18 +21,22 @@ import (
 // release → immediate) or the context fires.
 func stubStore(calls *atomic.Int64, release <-chan struct{}) *runner.Store {
 	s := runner.NewStore("")
-	s.SimContext = func(ctx context.Context, p sim.Params, wcfg workload.Config, design string, _ sim.FrontendFactory) (sim.Result, error) {
+	s.Sim = func(ctx context.Context, pt exp.SimPoint) (sim.Result, error) {
 		calls.Add(1)
 		if release != nil {
 			select {
 			case <-release:
 			case <-ctx.Done():
-				return sim.Result{}, ctx.Err()
+			}
+			// A cancelled attempt fails even when release is closed too:
+			// select picks among ready cases at random.
+			if err := ctx.Err(); err != nil {
+				return sim.Result{}, err
 			}
 		}
 		return sim.Result{
-			Workload: wcfg.Name,
-			Design:   design,
+			Workload: pt.Workload.Name,
+			Design:   pt.Design,
 			Core:     core.Stats{Cycles: 1000, Instructions: 1500},
 		}, nil
 	}

@@ -10,9 +10,9 @@ import (
 	"time"
 
 	"ubscache/internal/core"
+	"ubscache/internal/exp"
 	"ubscache/internal/runner"
 	"ubscache/internal/sim"
-	"ubscache/internal/workload"
 )
 
 // waitTerminal blocks until the job reaches any terminal state.
@@ -29,6 +29,21 @@ func waitTerminal(t *testing.T, j *Job) JobState {
 	return ""
 }
 
+// waitCalls blocks until the store has started n executions. A job is
+// "running" from the moment a worker takes it, slightly before its
+// store call starts; tests that suspend or preempt a running execution
+// wait for the call itself, or the attempt may never execute at all.
+func waitCalls(t *testing.T, calls *atomic.Int64, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for calls.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d store executions started, want %d", calls.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestSuspendResume pins the basic lifecycle: a running job parks on
 // Suspend (its attempt unwinds via the per-attempt context), Resume
 // requeues it, and the retried attempt completes normally. Each attempt
@@ -42,6 +57,7 @@ func TestSuspendResume(t *testing.T) {
 
 	j := submitOK(t, s, SubmitRequest{Design: "ubs", Workload: "server_001", Priority: Batch})
 	waitState(t, j, JobRunning)
+	waitCalls(t, &calls, 1)
 
 	if _, ok, err := s.Suspend(j.ID()); err != nil || !ok {
 		t.Fatalf("Suspend: ok=%v err=%v", ok, err)
@@ -76,6 +92,7 @@ func TestPreemptionByInteractive(t *testing.T) {
 
 	batch := submitOK(t, s, SubmitRequest{Design: "ubs", Workload: "server_001", Priority: Batch})
 	waitState(t, batch, JobRunning)
+	waitCalls(t, &calls, 1)
 
 	inter := submitOK(t, s, SubmitRequest{Design: "conv:32", Workload: "client_001", Priority: Interactive})
 	waitState(t, batch, JobSuspended)
@@ -105,6 +122,7 @@ func TestCancelSuspended(t *testing.T) {
 
 	j := submitOK(t, s, SubmitRequest{Design: "ubs", Workload: "server_001", Priority: Batch})
 	waitState(t, j, JobRunning)
+	waitCalls(t, &calls, 1)
 	if _, ok, err := s.Suspend(j.ID()); err != nil || !ok {
 		t.Fatalf("Suspend: ok=%v err=%v", ok, err)
 	}
@@ -173,7 +191,7 @@ func TestHTTPSuspendResume(t *testing.T) {
 func TestSuspendResumeHammer(t *testing.T) {
 	var calls atomic.Int64
 	store := runner.NewStore("")
-	store.SimContext = func(ctx context.Context, p sim.Params, wcfg workload.Config, design string, _ sim.FrontendFactory) (sim.Result, error) {
+	store.Sim = func(ctx context.Context, pt exp.SimPoint) (sim.Result, error) {
 		calls.Add(1)
 		// Long enough to be suspended mid-flight, short enough that the
 		// hammer converges quickly; always honours cancellation.
@@ -183,7 +201,7 @@ func TestSuspendResumeHammer(t *testing.T) {
 			return sim.Result{}, ctx.Err()
 		}
 		return sim.Result{
-			Workload: wcfg.Name, Design: design,
+			Workload: pt.Workload.Name, Design: pt.Design,
 			Core: core.Stats{Cycles: 1000, Instructions: 1500},
 		}, nil
 	}

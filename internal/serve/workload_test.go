@@ -7,21 +7,22 @@ import (
 	"testing"
 
 	"ubscache/internal/core"
+	"ubscache/internal/exp"
 	"ubscache/internal/runner"
 	"ubscache/internal/sim"
 	"ubscache/internal/workloadspec"
 )
 
-// stubWorkloadStore fabricates simulations through the SimWorkload seam,
-// which sees every workload kind (mix, champsim, ...), not just
+// stubWorkloadStore fabricates simulations through the Sim seam, which
+// sees every workload kind (mix, champsim, ...), not just
 // generator-backed presets.
 func stubWorkloadStore(calls *atomic.Int64) *runner.Store {
 	s := runner.NewStore("")
-	s.SimWorkload = func(_ context.Context, _ sim.Params, w workloadspec.Workload, design string, _ sim.FrontendFactory) (sim.Result, error) {
+	s.Sim = func(_ context.Context, pt exp.SimPoint) (sim.Result, error) {
 		calls.Add(1)
 		return sim.Result{
-			Workload: w.Name,
-			Design:   design,
+			Workload: pt.Workload.Name,
+			Design:   pt.Design,
 			Core:     core.Stats{Cycles: 1000, Instructions: 1500},
 		}, nil
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"ubscache/internal/icache"
@@ -52,7 +53,7 @@ func TestStatIdentityGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Run(p, wcfg, d.Name, d.Factory)
+			res, err := runConfig(context.Background(), p, wcfg, d.Name, d.Factory)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -44,7 +44,7 @@ func TestHeartbeatCadence(t *testing.T) {
 	col := &collector{}
 	p := obsParams()
 	p.Observer = col
-	res, err := Run(p, wcfg, "ubs", MustDesign("ubs").Factory)
+	res, err := runConfig(context.Background(), p, wcfg, "ubs", MustDesign("ubs").Factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,13 +135,13 @@ func TestObserverDoesNotChangeResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Run(obsParams(), wcfg, "ubs", MustDesign("ubs").Factory)
+	base, err := runConfig(context.Background(), obsParams(), wcfg, "ubs", MustDesign("ubs").Factory)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := obsParams()
 	p.Observer = &collector{}
-	withObs, err := Run(p, wcfg, "ubs", MustDesign("ubs").Factory)
+	withObs, err := runConfig(context.Background(), p, wcfg, "ubs", MustDesign("ubs").Factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestRunContextCancel(t *testing.T) {
 			}
 		},
 	}}
-	_, err = RunContext(ctx, p, wcfg, "ubs", MustDesign("ubs").Factory)
+	_, err = runConfig(ctx, p, wcfg, "ubs", MustDesign("ubs").Factory)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -190,7 +190,7 @@ func TestRunContextCancelDuringWarmup(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the first cycle
 	p := obsParams()
-	_, err = RunContext(ctx, p, wcfg, "ubs", MustDesign("ubs").Factory)
+	_, err = runConfig(ctx, p, wcfg, "ubs", MustDesign("ubs").Factory)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -155,3 +155,50 @@ func TestUBSDesignCustomAndValidation(t *testing.T) {
 		t.Fatal("48B small block accepted")
 	}
 }
+
+// FuzzParseDesign hardens the design grammar ubsd feeds request strings
+// through: no input may panic ParseDesign, and every spec ParseDesignSpec
+// accepts must survive a round trip through its inline JSON form — the
+// re-marshalled spec re-parses to an equal spec and resolves to the same
+// design. Resolution builds no frontend; only the factory is returned.
+func FuzzParseDesign(f *testing.F) {
+	for _, seed := range []string{
+		"conv32", "conv:32", "conv64", "conv:64", "conv:16", "conv:0", "conv:-8",
+		"ghrp", "acic", "ubs", "ubs:64", "ubs:0",
+		"ubs-pred-assoc8-fifo", "ubs-pred-bogus", "ubs-14way-c2", "ubs-11way-c9",
+		"smallblock16", "smallblock32", "smallblock64", "distill", "", "nonsense",
+		`{"kind":"ubs","config":{"kb":64}}`,
+		`{"kind":"conv","config":{"policy":"ghrp","acic":true}}`,
+		`{"kind":"smallblock","config":{"block_size":32,"buffer_cap":4}}`,
+		`{"kind":"distill"}`,
+		`{ "kind" : "ubs", "config" : { "predictor" : "assoc8-fifo", "name" : "<x>" } }`,
+		`{"kind":"bogus","config":null}`,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		d, derr := ParseDesign(name)
+		spec, err := ParseDesignSpec(name)
+		if err != nil {
+			return
+		}
+		raw, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("accepted spec %+v does not marshal: %v", spec, err)
+		}
+		back, err := ParseDesignSpec(string(raw))
+		if err != nil {
+			t.Fatalf("inline JSON %s of accepted %q rejected: %v", raw, name, err)
+		}
+		// Marshalling compacts and escapes Config, so equal specs have
+		// byte-equal encodings.
+		again, err := json.Marshal(back)
+		if err != nil || back.Kind != spec.Kind || string(again) != string(raw) {
+			t.Fatalf("%q round-tripped to %s, want %s (err %v)", name, again, raw, err)
+		}
+		d2, derr2 := ParseDesign(string(raw))
+		if (derr == nil) != (derr2 == nil) || d.Name != d2.Name {
+			t.Fatalf("%q resolves to (%q, %v) but its inline JSON to (%q, %v)", name, d.Name, derr, d2.Name, derr2)
+		}
+	})
+}

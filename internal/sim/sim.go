@@ -16,7 +16,6 @@ import (
 	"ubscache/internal/obs"
 	"ubscache/internal/trace"
 	"ubscache/internal/ubs"
-	"ubscache/internal/workload"
 )
 
 // Params bundles the system configuration. Zero-valued sections take the
@@ -92,36 +91,12 @@ func (r Result) MPKI() float64 { return r.ICache.MPKI(r.Core.Instructions) }
 // StallCycles returns the icache-attributed front-end stall cycles.
 func (r Result) StallCycles() uint64 { return r.Core.Stalls[core.StallICache] }
 
-// Run simulates workload wcfg on the design built by factory.
-func Run(p Params, wcfg workload.Config, design string, factory FrontendFactory) (Result, error) {
-	return RunContext(context.Background(), p, wcfg, design, factory)
-}
-
-// RunContext is Run honouring ctx: cancellation is checked at every
+// Run simulates src on the design built by factory: NewMachine, Warmup,
+// Advance(p.Measure), Finish. Cancellation of ctx is checked at every
 // heartbeat interval (HeartbeatEvery cycles, falling back to
 // SampleInterval) during both warmup and measurement, and an interrupted
 // run returns ctx.Err() after notifying the observer.
-func RunContext(ctx context.Context, p Params, wcfg workload.Config, design string, factory FrontendFactory) (Result, error) {
-	if p.Core.FetchWidth == 0 {
-		p.Core = core.DefaultConfig()
-	}
-	if p.Hierarchy.BlockSize == 0 {
-		p.Hierarchy = mem.DefaultHierarchyConfig()
-	}
-	w, err := workload.New(wcfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return RunSourceContext(ctx, p, w, wcfg.Name, design, factory)
-}
-
-// RunSource simulates an arbitrary trace source.
-func RunSource(p Params, src trace.Source, workloadName, design string, factory FrontendFactory) (Result, error) {
-	return RunSourceContext(context.Background(), p, src, workloadName, design, factory)
-}
-
-// RunSourceContext is RunSource honouring ctx (see RunContext).
-func RunSourceContext(ctx context.Context, p Params, src trace.Source, workloadName, design string, factory FrontendFactory) (Result, error) {
+func Run(ctx context.Context, p Params, src trace.Source, workloadName, design string, factory FrontendFactory) (Result, error) {
 	m, err := NewMachine(ctx, p, src, workloadName, design, factory)
 	if err != nil {
 		return Result{}, err
@@ -137,8 +112,8 @@ func RunSourceContext(ctx context.Context, p Params, src trace.Source, workloadN
 
 // Machine is a fully assembled simulation that can be driven
 // incrementally: construct with NewMachine, call Warmup once, Advance as
-// many times as desired, then Finish for the Result. RunSourceContext is
-// exactly that sequence; separate steps allow interleaved inspection,
+// many times as desired, then Finish for the Result. Run is exactly that
+// sequence; separate steps allow interleaved inspection,
 // cycle-bounded embedding, and steady-state benchmarking without
 // per-iteration construction cost.
 type Machine struct {
@@ -173,9 +148,16 @@ type Machine struct {
 // samples while still spanning the whole measured region.
 const effWindowCap = 4096
 
-// NewMachine assembles the modelled system for one run. The observer (if
-// any) receives BeginRun before NewMachine returns.
+// NewMachine assembles the modelled system for one run. A zero Core or
+// Hierarchy section takes its Table I default. The observer (if any)
+// receives BeginRun before NewMachine returns.
 func NewMachine(ctx context.Context, p Params, src trace.Source, workloadName, design string, factory FrontendFactory) (*Machine, error) {
+	if p.Core.FetchWidth == 0 {
+		p.Core = core.DefaultConfig()
+	}
+	if p.Hierarchy.BlockSize == 0 {
+		p.Hierarchy = mem.DefaultHierarchyConfig()
+	}
 	h, err := mem.NewHierarchy(p.Hierarchy)
 	if err != nil {
 		return nil, err

@@ -1,13 +1,16 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"ubscache/internal/bpu"
+	"ubscache/internal/core"
 	"ubscache/internal/icache"
+	"ubscache/internal/mem"
 	"ubscache/internal/trace"
 	"ubscache/internal/ubs"
 	"ubscache/internal/workload"
@@ -29,6 +32,15 @@ func specCfg(t *testing.T) workload.Config {
 	return cfg
 }
 
+// runConfig simulates a generator configuration through Run.
+func runConfig(ctx context.Context, p Params, wcfg workload.Config, design string, factory FrontendFactory) (Result, error) {
+	w, err := workload.New(wcfg)
+	if err != nil {
+		return Result{}, err
+	}
+	return Run(ctx, p, w, wcfg.Name, design, factory)
+}
+
 func TestDefaultParams(t *testing.T) {
 	p := DefaultParams()
 	if p.Warmup == 0 || p.Measure == 0 || p.SampleInterval != 100_000 {
@@ -39,8 +51,28 @@ func TestDefaultParams(t *testing.T) {
 	}
 }
 
+// TestNewMachineDefaultsZeroSections pins that NewMachine, and so every
+// path that builds a machine, gives a zero Core or Hierarchy section its
+// Table I value: the run matches one with the sections spelled out.
+func TestNewMachineDefaultsZeroSections(t *testing.T) {
+	p := tinyParams()
+	p.Warmup, p.Measure = 5_000, 20_000
+	want, err := runConfig(context.Background(), p, specCfg(t), "conv", MustDesign("conv:32").Factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Core, p.Hierarchy = core.Config{}, mem.HierarchyConfig{}
+	got, err := runConfig(context.Background(), p, specCfg(t), "conv", MustDesign("conv:32").Factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("zero sections ran differently:\n got  %+v\n want %+v", got.Core, want.Core)
+	}
+}
+
 func TestRunConventional(t *testing.T) {
-	res, err := Run(tinyParams(), specCfg(t), "conv", MustDesign("conv:32").Factory)
+	res, err := runConfig(context.Background(), tinyParams(), specCfg(t), "conv", MustDesign("conv:32").Factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +94,7 @@ func TestRunConventional(t *testing.T) {
 }
 
 func TestRunUBSCarriesExtendedStats(t *testing.T) {
-	res, err := Run(tinyParams(), specCfg(t), "ubs", MustDesign("ubs").Factory)
+	res, err := runConfig(context.Background(), tinyParams(), specCfg(t), "ubs", MustDesign("ubs").Factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,14 +110,14 @@ func TestWarmupExcludedFromStats(t *testing.T) {
 	// Measured icache stats must exclude warmup: a run with warmup must
 	// report fewer fetches than warmup+measure would produce.
 	p := tinyParams()
-	resWarm, err := Run(p, specCfg(t), "conv", MustDesign("conv:32").Factory)
+	resWarm, err := runConfig(context.Background(), p, specCfg(t), "conv", MustDesign("conv:32").Factory)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p2 := p
 	p2.Warmup = 0
 	p2.Measure = p.Warmup + p.Measure
-	resAll, err := Run(p2, specCfg(t), "conv", MustDesign("conv:32").Factory)
+	resAll, err := runConfig(context.Background(), p2, specCfg(t), "conv", MustDesign("conv:32").Factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +132,11 @@ func TestWarmupExcludedFromStats(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a, err := Run(tinyParams(), specCfg(t), "ubs", MustDesign("ubs").Factory)
+	a, err := runConfig(context.Background(), tinyParams(), specCfg(t), "ubs", MustDesign("ubs").Factory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(tinyParams(), specCfg(t), "ubs", MustDesign("ubs").Factory)
+	b, err := runConfig(context.Background(), tinyParams(), specCfg(t), "ubs", MustDesign("ubs").Factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +149,7 @@ func TestDeterminism(t *testing.T) {
 func TestEfficiencySampling(t *testing.T) {
 	p := tinyParams()
 	p.SampleInterval = 10_000
-	res, err := Run(p, specCfg(t), "conv", MustDesign("conv:32").Factory)
+	res, err := runConfig(context.Background(), p, specCfg(t), "conv", MustDesign("conv:32").Factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +163,7 @@ func TestEfficiencySampling(t *testing.T) {
 	}
 	// Disabled sampling yields none.
 	p.SampleInterval = 0
-	res, err = Run(p, specCfg(t), "conv", MustDesign("conv:32").Factory)
+	res, err = runConfig(context.Background(), p, specCfg(t), "conv", MustDesign("conv:32").Factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +174,7 @@ func TestEfficiencySampling(t *testing.T) {
 
 func TestTraceEndsDuringWarmup(t *testing.T) {
 	short := trace.NewSlice(trace.Collect(mustWalker(t), 1000))
-	_, err := RunSource(tinyParams(), short, "short", "conv",
+	_, err := Run(context.Background(), tinyParams(), short, "short", "conv",
 		MustDesign("conv:32").Factory)
 	if err == nil || !strings.Contains(err.Error(), "warmup") {
 		t.Errorf("expected warmup error, got %v", err)
@@ -154,7 +186,7 @@ func TestTraceEndsDuringMeasurement(t *testing.T) {
 	p := tinyParams()
 	p.Warmup = 10_000
 	p.Measure = 1_000_000
-	_, err := RunSource(p, short, "short", "conv", MustDesign("conv:32").Factory)
+	_, err := Run(context.Background(), p, short, "short", "conv", MustDesign("conv:32").Factory)
 	if err == nil || !strings.Contains(err.Error(), "measurement") {
 		t.Errorf("expected measurement error, got %v", err)
 	}
@@ -180,7 +212,7 @@ func TestAllFactoriesBuild(t *testing.T) {
 	p.Warmup = 5_000
 	p.Measure = 20_000
 	for name, f := range factories {
-		if _, err := Run(p, specCfg(t), name, f); err != nil {
+		if _, err := runConfig(context.Background(), p, specCfg(t), name, f); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
@@ -194,7 +226,7 @@ func TestBadFactoryConfigRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(tinyParams(), specCfg(t), "bad", badSB.Factory); err == nil {
+	if _, err := runConfig(context.Background(), tinyParams(), specCfg(t), "bad", badSB.Factory); err == nil {
 		t.Error("invalid small-block config accepted")
 	}
 }
@@ -202,7 +234,7 @@ func TestBadFactoryConfigRejected(t *testing.T) {
 func TestNoDataCacheMode(t *testing.T) {
 	p := tinyParams()
 	p.DataCache = false
-	res, err := Run(p, specCfg(t), "conv", MustDesign("conv:32").Factory)
+	res, err := runConfig(context.Background(), p, specCfg(t), "conv", MustDesign("conv:32").Factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +244,7 @@ func TestNoDataCacheMode(t *testing.T) {
 }
 
 func TestResultHelpers(t *testing.T) {
-	res, err := Run(tinyParams(), specCfg(t), "conv", MustDesign("conv:32").Factory)
+	res, err := runConfig(context.Background(), tinyParams(), specCfg(t), "conv", MustDesign("conv:32").Factory)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,6 +106,14 @@ func (m *Machine) Restore(src *MachineState) error {
 	if err := snap.Restore(&m.st, src); err != nil {
 		return err
 	}
+	// snap.Restore checks shapes only; indices into the restored buffers
+	// must be checked here, before the machine runs on them.
+	if err := m.c.Validate(); err != nil {
+		return err
+	}
+	if err := m.ftq.Validate(); err != nil {
+		return err
+	}
 	if err := ck.RestoreState(src.Frontend); err != nil {
 		return fmt.Errorf("sim: frontend %s: %w", m.design, err)
 	}

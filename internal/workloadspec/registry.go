@@ -47,7 +47,7 @@ type Spec struct {
 // Workload is a resolved Spec: a named instruction-stream factory. For
 // generator-backed kinds (preset, config) the underlying synthetic
 // configuration is exposed through Config, which lets the runner keep its
-// legacy content keys and lets the simulator rebuild the walker itself.
+// legacy content keys.
 type Workload struct {
 	// Name identifies the workload in results and progress output.
 	Name string
@@ -414,14 +414,9 @@ func MustWorkload(name string) Workload {
 	return w
 }
 
-// Run simulates a resolved workload on a design: generator-backed
-// workloads go through sim.RunContext (preserving its construction
-// diagnostics), source-backed ones open their stream and go through
-// sim.RunSourceContext.
+// Run simulates a resolved workload on a design: it opens a fresh
+// instruction stream, runs it through sim.Run, and closes the stream.
 func Run(ctx context.Context, p sim.Params, w Workload, design string, factory sim.FrontendFactory) (sim.Result, error) {
-	if cfg, ok := w.Config(); ok {
-		return sim.RunContext(ctx, p, cfg, design, factory)
-	}
 	src, err := w.NewSource()
 	if err != nil {
 		return sim.Result{}, err
@@ -429,5 +424,5 @@ func Run(ctx context.Context, p sim.Params, w Workload, design string, factory s
 	if c, ok := src.(interface{ Close() error }); ok {
 		defer c.Close()
 	}
-	return sim.RunSourceContext(ctx, p, src, w.Name, design, factory)
+	return sim.Run(ctx, p, src, w.Name, design, factory)
 }

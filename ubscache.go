@@ -14,8 +14,8 @@
 //
 // Quick start:
 //
-//	w, _ := ubscache.Workload("server_001")
-//	rep, _ := ubscache.Simulate(ubscache.UBS(), w, ubscache.Quick())
+//	w, _ := ubscache.ParseWorkload("server_001")
+//	rep, _ := ubscache.Simulate(context.Background(), ubscache.UBS(), w, ubscache.Quick())
 //	fmt.Printf("IPC %.3f, L1-I MPKI %.1f\n", rep.IPC(), rep.MPKI())
 //
 // See the examples directory and cmd/ubsim, cmd/ubsweep, cmd/tracegen.
@@ -23,7 +23,6 @@ package ubscache
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"ubscache/internal/checkpoint"
@@ -67,7 +66,7 @@ const (
 type WorkloadSpec = workloadspec.Spec
 
 // ResolvedWorkload is a resolved WorkloadSpec: a named instruction-stream
-// factory ready to simulate (see SimulateWorkload). Generator-backed
+// factory ready to simulate (see Simulate). Generator-backed
 // workloads additionally expose their synthetic WorkloadConfig through
 // its Config method.
 type ResolvedWorkload = workloadspec.Workload
@@ -87,24 +86,6 @@ func ResolveWorkload(spec WorkloadSpec) (ResolvedWorkload, error) {
 
 // WorkloadKinds lists the registered workload kinds, sorted.
 func WorkloadKinds() []string { return workloadspec.WorkloadKinds() }
-
-// Workload resolves a preset workload by name (e.g. "server_003"); see
-// WorkloadNames.
-//
-// Deprecated: use ParseWorkload, which accepts the same names plus every
-// other registry shorthand. Workload only reaches generator-backed
-// workloads and cannot express mixes or trace replays.
-func Workload(name string) (WorkloadConfig, error) {
-	w, err := workloadspec.ParseWorkload(name)
-	if err != nil {
-		return WorkloadConfig{}, err
-	}
-	cfg, ok := w.Config()
-	if !ok {
-		return WorkloadConfig{}, fmt.Errorf("ubscache: workload %q is not generator-backed; use ParseWorkload + SimulateWorkload", name)
-	}
-	return cfg, nil
-}
 
 // WorkloadNames lists the preset workloads of a family.
 //
@@ -295,39 +276,19 @@ func NewHeartbeatWriter(w io.Writer) *obs.NDJSON { return obs.NewNDJSON(w) }
 // at /metrics, JSON at /vars) — the same surface as `ubsim -http`.
 func NewMetricsServer() *obs.Server { return obs.NewServer() }
 
-// Simulate runs a workload on a design.
-func Simulate(d Design, w WorkloadConfig, opts Options) (Report, error) {
-	return sim.Run(opts, w, d.Name, d.factory)
-}
-
-// SimulateContext is Simulate honouring ctx: cancellation is checked at
-// every heartbeat interval (Options.HeartbeatEvery cycles, falling back
-// to Options.SampleInterval) and an interrupted run returns ctx.Err().
-func SimulateContext(ctx context.Context, d Design, w WorkloadConfig, opts Options) (Report, error) {
-	return sim.RunContext(ctx, opts, w, d.Name, d.factory)
-}
-
-// SimulateSource runs an arbitrary instruction source on a design.
-func SimulateSource(d Design, src Source, name string, opts Options) (Report, error) {
-	return sim.RunSource(opts, src, name, d.Name, d.factory)
-}
-
-// SimulateSourceContext is SimulateSource honouring ctx (see
-// SimulateContext).
-func SimulateSourceContext(ctx context.Context, d Design, src Source, name string, opts Options) (Report, error) {
-	return sim.RunSourceContext(ctx, opts, src, name, d.Name, d.factory)
-}
-
-// SimulateWorkload runs a resolved registry workload — preset, explicit
-// config, multi-client mix, or imported trace — on a design.
-func SimulateWorkload(d Design, w ResolvedWorkload, opts Options) (Report, error) {
-	return workloadspec.Run(context.Background(), opts, w, d.Name, d.factory)
-}
-
-// SimulateWorkloadContext is SimulateWorkload honouring ctx (see
-// SimulateContext).
-func SimulateWorkloadContext(ctx context.Context, d Design, w ResolvedWorkload, opts Options) (Report, error) {
+// Simulate runs a resolved workload — preset, explicit config,
+// multi-client mix, or imported trace (see ParseWorkload) — on a design.
+// Cancellation of ctx is checked at every heartbeat interval
+// (Options.HeartbeatEvery cycles, falling back to
+// Options.SampleInterval) and an interrupted run returns ctx.Err().
+func Simulate(ctx context.Context, d Design, w ResolvedWorkload, opts Options) (Report, error) {
 	return workloadspec.Run(ctx, opts, w, d.Name, d.factory)
+}
+
+// SimulateSource runs an arbitrary instruction source on a design,
+// labelling the report with name (see Simulate for cancellation).
+func SimulateSource(ctx context.Context, d Design, src Source, name string, opts Options) (Report, error) {
+	return sim.Run(ctx, opts, src, name, d.Name, d.factory)
 }
 
 // CheckpointMeta identifies what a checkpoint file resumes: the
@@ -381,7 +342,7 @@ type ExperimentOptions struct {
 	// Progress, if non-nil, receives per-run progress lines.
 	Progress io.Writer
 	// Context, if non-nil, cancels in-flight simulations between
-	// heartbeat intervals (see SimulateContext).
+	// heartbeat intervals (see Simulate).
 	Context context.Context
 }
 

@@ -19,14 +19,14 @@ func quickTest() Options {
 }
 
 func TestWorkloadResolution(t *testing.T) {
-	w, err := Workload("server_001")
+	w, err := ParseWorkload("server_001")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if w.Name != "server_001" {
 		t.Errorf("name %q", w.Name)
 	}
-	if _, err := Workload("bogus"); err == nil {
+	if _, err := ParseWorkload("bogus"); err == nil {
 		t.Error("bogus workload accepted")
 	}
 	if len(Families()) != 8 {
@@ -54,11 +54,11 @@ func TestConventional32IsTableIBaseline(t *testing.T) {
 		t.Fatalf("Conventional(32).Name = %q", d.Name)
 	}
 
-	w, err := Workload("server_001")
+	w, err := ParseWorkload("server_001")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Simulate(d, w, quickTest())
+	got, err := Simulate(context.Background(), d, w, quickTest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestConventional32IsTableIBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Simulate(baseline, w, quickTest())
+	want, err := Simulate(context.Background(), baseline, w, quickTest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,15 +76,15 @@ func TestConventional32IsTableIBaseline(t *testing.T) {
 }
 
 func TestSimulateUBSvsBaseline(t *testing.T) {
-	w, err := Workload("server_001")
+	w, err := ParseWorkload("server_001")
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Simulate(Conventional(32), w, quickTest())
+	base, err := Simulate(context.Background(), Conventional(32), w, quickTest())
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := Simulate(UBS(), w, quickTest())
+	u, err := Simulate(context.Background(), UBS(), w, quickTest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func avg(v []float64) float64 {
 }
 
 func TestAllDesignsRun(t *testing.T) {
-	w, err := Workload("client_001")
+	w, err := ParseWorkload("client_001")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestAllDesignsRun(t *testing.T) {
 	opts.Warmup = 20_000
 	opts.Measure = 60_000
 	for _, d := range designs {
-		rep, err := Simulate(d, w, opts)
+		rep, err := Simulate(context.Background(), d, w, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", d.Name, err)
 		}
@@ -140,11 +140,12 @@ func TestAllDesignsRun(t *testing.T) {
 }
 
 func TestTraceRoundTripThroughFacade(t *testing.T) {
-	w, err := Workload("spec_001")
+	w, err := ParseWorkload("spec_001")
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewSource(w)
+	cfg, _ := w.Config() // presets are generator-backed
+	src, err := NewSource(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestTraceRoundTripThroughFacade(t *testing.T) {
 	opts := quickTest()
 	opts.Warmup = 10_000
 	opts.Measure = 20_000
-	rep, err := SimulateSource(Conventional(32), r, "t", opts)
+	rep, err := SimulateSource(context.Background(), Conventional(32), r, "t", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
