@@ -41,7 +41,11 @@ const magic = "UBSC"
 // image now carries the queues' raw backing windows with their head
 // indices, cache and predictor directories set-major, and the layer
 // states behind presence-flagged pointers.
-const Version = 2
+//
+// Version 3: core.State drops the completion heap and its occupancy
+// counters. Occupancy is a function of the ROB and the clock, so a
+// restore rebuilds it (core.Core.Rebuild) instead of reading it.
+const Version = 3
 
 // Meta names what a checkpoint is a checkpoint OF. Everything needed to
 // rebuild an identical fresh machine travels in the file: the workload

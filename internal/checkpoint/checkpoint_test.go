@@ -6,11 +6,14 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"ubscache/internal/core"
 	"ubscache/internal/sim"
 	"ubscache/internal/workloadspec"
 )
@@ -140,6 +143,94 @@ func TestRoundTripByteIdentity(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestRoundTripFarCompletions snapshots while some load completes
+// beyond the core's completion wheel (DRAM timings of 600 cycles each),
+// so the far list is non-empty in the snapshotting machine and must be
+// rebuilt from the ROB in the fresh one. Resume stays byte-identical.
+func TestRoundTripFarCompletions(t *testing.T) {
+	p := testParams()
+	p.Hierarchy.DRAM.TRP, p.Hierarchy.DRAM.TRCD, p.Hierarchy.DRAM.TCAS = 600, 600, 600
+	const design = "ubs"
+	w, err := workloadspec.ParseWorkload("server_001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := resultJSON(t, runUninterrupted(t, p, w, design))
+
+	d, err := sim.ParseDesign(design)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := w.NewSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sim.NewMachine(context.Background(), p, src, w.Name, d.Name, d.Factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := Meta{Workload: w.Spec, WorkloadName: w.Name, Design: design, Params: p}
+	var far []byte
+	res, err := Complete(m, meta, 3_000, func(data []byte) error {
+		if err := m.Core().Validate(); err != nil {
+			return err
+		}
+		_, st, err := Decode(data)
+		if err != nil {
+			return err
+		}
+		if far == nil && farPending(st.Core) > 0 {
+			far = data
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("chunked run: %v", err)
+	}
+	if got := resultJSON(t, res); !bytes.Equal(got, want) {
+		t.Errorf("chunked run diverged:\n got:  %s\n want: %s", got, want)
+	}
+	if far == nil {
+		t.Fatal("no checkpoint caught a completion beyond the wheel")
+	}
+	ckPath := filepath.Join(t.TempDir(), "far.ubsc")
+	if err := WriteFileAtomic(ckPath, far); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Resume(context.Background(), ckPath, ResumeOptions{})
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	defer r.Close()
+	// Finish one instruction at a time, recounting the rebuilt occupancy
+	// against the ROB after each.
+	for r.Machine.Core().Stats().Instructions < p.Measure {
+		if err := r.Machine.Advance(1); err != nil {
+			t.Fatalf("resumed run: %v", err)
+		}
+		if err := r.Machine.Core().Validate(); err != nil {
+			t.Fatalf("resumed run at %d instructions: %v", r.Machine.Core().Stats().Instructions, err)
+		}
+	}
+	if got := resultJSON(t, r.Machine.Finish()); !bytes.Equal(got, want) {
+		t.Errorf("resumed run diverged:\n got:  %s\n want: %s", got, want)
+	}
+}
+
+// farPending counts the live ROB entries completing core.WheelSlots or
+// more cycles after the clock. Each was dispatched before the clock, so
+// it sits on the far list of the machine that took the snapshot, and a
+// restore puts it there again.
+func farPending(st *core.State) int {
+	n := 0
+	for i := 0; i < st.ROBCount; i++ {
+		if e := st.ROB[(st.ROBHead+i)%len(st.ROB)]; e.Done >= st.Clock+core.WheelSlots {
+			n++
+		}
+	}
+	return n
 }
 
 // TestCancelWritesCheckpointAndResumes pins the crash-safety path: a
@@ -279,6 +370,17 @@ func TestCorruptedCheckpointRejected(t *testing.T) {
 	mutate("bad-version", func(b []byte) []byte {
 		binary.LittleEndian.PutUint16(b[4:], Version+1)
 		return reseal(b)
+	})
+
+	// A version-2 image still carries the core's completion heap: it
+	// must fail on its version, not on the shape of its state.
+	t.Run("version-2", func(t *testing.T) {
+		old := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint16(old[4:], 2)
+		_, _, err := Decode(reseal(old))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version 2, this build reads version %d", Version)) {
+			t.Fatalf("version-2 checkpoint: got %v, want the version error", err)
+		}
 	})
 }
 

@@ -117,63 +117,108 @@ func (s Stats) FrontEndStallFraction() float64 {
 	return float64(s.Stalls[StallICache]) / float64(s.Cycles)
 }
 
-// add registers a dispatched instruction completing at done.
-//
-//ubs:hotpath
-func (f *Inflight) add(done uint64, isLoad, isStore bool) {
-	f.Sched++
-	if isLoad {
-		f.Loads++
-	}
-	if isStore {
-		f.Stores++
-	}
-	//ubs:allowalloc the heap's backing array is pre-sized to ROBSize at construction
-	f.Heap = append(f.Heap, InflightEntry{Done: done, IsLoad: isLoad, IsStore: isStore})
-	i := len(f.Heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if f.Heap[p].Done <= f.Heap[i].Done {
-			break
-		}
-		f.Heap[p], f.Heap[i] = f.Heap[i], f.Heap[p]
-		i = p
-	}
+// WheelSlots is the completion wheel's size. A power of two, so a
+// completion cycle maps to its slot with a mask. A completion WheelSlots
+// or more cycles after its dispatch waits on the far list instead.
+const WheelSlots = 1024
+
+// slot counts the dispatched instructions that complete in one cycle and
+// the queue resources they hold.
+type slot struct{ n, loads, stores int32 }
+
+// farEntry is an instruction completing WheelSlots or more cycles ahead
+// of its dispatch: a chain of DRAM-missing loads behind queued banks.
+type farEntry struct {
+	done            uint64
+	isLoad, isStore bool
 }
 
-// expire releases every instruction whose completion cycle has been
-// reached. Amortised O(1) per cycle: each dispatched instruction is popped
-// exactly once.
+// occupancy maintains the scheduler/LQ/SQ occupancy incrementally: the
+// totals rise at dispatch and fall when the clock reaches each
+// instruction's completion cycle. A timing wheel indexed by
+// done&(WheelSlots-1) holds the completions of the next WheelSlots
+// cycles; expire reads one slot per cycle. Completion latency has no hard
+// bound (dependent DRAM misses inherit their producers' ready times, and
+// bank queueing adds more), so the rare completion beyond the wheel waits
+// on the far list until the lap that contains it. The totals are, by
+// construction, exactly |{e in ROB : e.Done >= Clock}| split by class:
+// derived state, which Core.Rebuild recomputes from the ROB rather than
+// the checkpoint carrying it.
+type occupancy struct {
+	wheel                [WheelSlots]slot
+	far                  []farEntry
+	sched, loads, stores int
+}
+
+// b2i converts without a branch.
 //
 //ubs:hotpath
-func (f *Inflight) expire(now uint64) {
-	for len(f.Heap) > 0 && f.Heap[0].Done <= now {
-		e := f.Heap[0]
-		f.Sched--
-		if e.IsLoad {
-			f.Loads--
+func b2i(b bool) int32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// add registers an instruction dispatched at now and completing at done.
+//
+//ubs:hotpath
+func (o *occupancy) add(now, done uint64, isLoad, isStore bool) {
+	o.sched++
+	o.loads += int(b2i(isLoad))
+	o.stores += int(b2i(isStore))
+	if done-now >= WheelSlots {
+		//ubs:allowalloc far is pre-sized to ROBSize, which bounds the in-flight instructions
+		o.far = append(o.far, farEntry{done: done, isLoad: isLoad, isStore: isStore})
+		return
+	}
+	o.place(done, isLoad, isStore)
+}
+
+// place counts an instruction on the wheel slot of its completion cycle.
+//
+//ubs:hotpath
+func (o *occupancy) place(done uint64, isLoad, isStore bool) {
+	s := &o.wheel[done&(WheelSlots-1)]
+	s.n++
+	s.loads += b2i(isLoad)
+	s.stores += b2i(isStore)
+}
+
+// expire releases every instruction completing at now. It must be called
+// once per cycle, in cycle order: each slot is read exactly when the
+// clock reaches it. At a lap boundary the far entries that complete
+// within the new lap move onto the wheel first.
+//
+//ubs:hotpath
+func (o *occupancy) expire(now uint64) {
+	if now&(WheelSlots-1) == 0 && len(o.far) > 0 {
+		o.migrate(now)
+	}
+	s := &o.wheel[now&(WheelSlots-1)]
+	o.sched -= int(s.n)
+	o.loads -= int(s.loads)
+	o.stores -= int(s.stores)
+	*s = slot{}
+}
+
+// migrate moves onto the wheel every far entry completing in the lap
+// [now, now+WheelSlots). An entry goes far only when it completes
+// WheelSlots or more cycles after the cycle that adds it, so it is never
+// behind the next lap boundary.
+//
+//ubs:hotpath
+func (o *occupancy) migrate(now uint64) {
+	for i := 0; i < len(o.far); {
+		f := o.far[i]
+		if f.done-now >= WheelSlots {
+			i++
+			continue
 		}
-		if e.IsStore {
-			f.Stores--
-		}
-		n := len(f.Heap) - 1
-		f.Heap[0] = f.Heap[n]
-		f.Heap = f.Heap[:n]
-		i := 0
-		for {
-			l, r, s := 2*i+1, 2*i+2, i
-			if l < n && f.Heap[l].Done < f.Heap[s].Done {
-				s = l
-			}
-			if r < n && f.Heap[r].Done < f.Heap[s].Done {
-				s = r
-			}
-			if s == i {
-				break
-			}
-			f.Heap[i], f.Heap[s] = f.Heap[s], f.Heap[i]
-			i = s
-		}
+		o.place(f.done, f.isLoad, f.isStore)
+		last := len(o.far) - 1
+		o.far[i] = o.far[last]
+		o.far = o.far[:last]
 	}
 }
 
@@ -184,7 +229,8 @@ type Core struct {
 	ic  icache.Frontend
 	dc  *mem.DataCache
 
-	st State
+	st   State
+	busy occupancy
 }
 
 // New wires a core. dc may be nil (no data-side modelling).
@@ -192,7 +238,7 @@ func New(cfg Config, ftq *fdip.FTQ, ic icache.Frontend, dc *mem.DataCache) *Core
 	if cfg.FetchWidth == 0 {
 		cfg = DefaultConfig()
 	}
-	return &Core{
+	c := &Core{
 		cfg: cfg, ftq: ftq, ic: ic, dc: dc,
 		st: State{
 			ROB: make([]ROBEntry, cfg.ROBSize),
@@ -202,9 +248,10 @@ func New(cfg Config, ftq *fdip.FTQ, ic icache.Frontend, dc *mem.DataCache) *Core
 			// keeps every steady-state push within this capacity — the
 			// queue never reallocates.
 			Decode: make([]DecodeItem, 0, cfg.DecodeQueue+cfg.FetchWidth),
-			Busy:   Inflight{Heap: make([]InflightEntry, 0, cfg.ROBSize)},
 		},
 	}
+	c.busy.far = make([]farEntry, 0, cfg.ROBSize)
+	return c
 }
 
 // Stats returns the accumulated statistics.
@@ -222,7 +269,7 @@ func (c *Core) Clock() uint64 { return c.st.Clock }
 //ubs:hotpath
 func (c *Core) Cycle() {
 	now := c.st.Clock
-	c.st.Busy.expire(now)
+	c.busy.expire(now)
 	c.commit(now)
 	c.dispatch(now)
 	c.fetch(now)
@@ -270,7 +317,12 @@ func (c *Core) commit(now uint64) {
 			return
 		}
 		c.st.Stats.Instructions++
-		c.st.ROBHead = (c.st.ROBHead + 1) % c.cfg.ROBSize
+		// Compare-and-subtract: ROBSize is not a power of two, and a
+		// modulo would divide on every retired instruction.
+		c.st.ROBHead++
+		if c.st.ROBHead == c.cfg.ROBSize {
+			c.st.ROBHead = 0
+		}
 		c.st.ROBCount--
 	}
 }
@@ -307,7 +359,7 @@ func (c *Core) popDecode() {
 
 // dispatch moves instructions from the decode queue into the ROB,
 // computing their completion times. Scheduler/LQ/SQ occupancy comes from
-// the incrementally maintained counters in c.st.Busy (expired at the top of
+// the incrementally maintained counters in c.busy (expired at the top of
 // Cycle), not from scanning the ROB.
 //
 //ubs:hotpath
@@ -318,14 +370,14 @@ func (c *Core) dispatch(now uint64) {
 	width := c.cfg.DecodeWidth
 	for width > 0 && c.decodeLen() > 0 && c.st.ROBCount < c.cfg.ROBSize {
 		d := &c.st.Decode[c.st.DecodeHead]
-		if d.ReadyAt > now || c.st.Busy.Sched >= c.cfg.SchedSize {
+		if d.ReadyAt > now || c.busy.sched >= c.cfg.SchedSize {
 			return
 		}
 		in := &d.Item.In
-		if in.Class == trace.ClassLoad && c.st.Busy.Loads >= c.cfg.LQSize {
+		if in.Class == trace.ClassLoad && c.busy.loads >= c.cfg.LQSize {
 			return
 		}
-		if in.Class == trace.ClassStore && c.st.Busy.Stores >= c.cfg.SQSize {
+		if in.Class == trace.ClassStore && c.busy.stores >= c.cfg.SQSize {
 			return
 		}
 		// Operand readiness from producer distances.
@@ -371,7 +423,11 @@ func (c *Core) dispatch(now uint64) {
 		if done <= now {
 			done = now + 1
 		}
-		e := &c.st.ROB[(c.st.ROBHead+c.st.ROBCount)%c.cfg.ROBSize]
+		tail := c.st.ROBHead + c.st.ROBCount
+		if tail >= c.cfg.ROBSize {
+			tail -= c.cfg.ROBSize
+		}
+		e := &c.st.ROB[tail]
 		*e = ROBEntry{
 			Done:       done,
 			Seq:        c.st.Seq,
@@ -382,7 +438,7 @@ func (c *Core) dispatch(now uint64) {
 		c.st.DoneRing[c.st.Seq%uint64(len(c.st.DoneRing))] = done
 		c.st.Seq++
 		c.st.ROBCount++
-		c.st.Busy.add(done, e.IsLoad, e.IsStore)
+		c.busy.add(now, done, e.IsLoad, e.IsStore)
 		if d.Item.Mispredict {
 			// The redirect reaches fetch when the branch executes.
 			c.st.RedirectAt = done + c.cfg.RedirectLat
@@ -534,9 +590,29 @@ func (c *Core) stall(r StallReason) {
 	c.st.Stats.Stalls[r]++
 }
 
-// Validate checks internal consistency, including that the ROB and
-// decode-queue heads index their buffers. sim.Machine.Restore calls it on
-// restored state; tests call it after runs.
+// Rebuild recomputes the scheduler/LQ/SQ occupancy from the ROB and the
+// clock: every live entry with Done >= Clock is still in flight.
+// sim.Machine.Restore calls it after installing restored state, before
+// Validate.
+func (c *Core) Rebuild() {
+	c.busy.wheel = [WheelSlots]slot{}
+	c.busy.far = c.busy.far[:0]
+	c.busy.sched, c.busy.loads, c.busy.stores = 0, 0, 0
+	if c.st.ROBHead < 0 || c.st.ROBHead >= c.cfg.ROBSize || c.st.ROBCount < 0 || c.st.ROBCount > c.cfg.ROBSize {
+		return // Validate reports the bad ring
+	}
+	for i := 0; i < c.st.ROBCount; i++ {
+		e := &c.st.ROB[(c.st.ROBHead+i)%c.cfg.ROBSize]
+		if e.Done >= c.st.Clock {
+			c.busy.add(c.st.Clock, e.Done, e.IsLoad, e.IsStore)
+		}
+	}
+}
+
+// Validate checks internal consistency: the ROB and decode-queue heads
+// index their buffers, and the occupancy totals match a recount of the
+// in-flight ROB entries. sim.Machine.Restore calls it on restored state;
+// tests call it after runs.
 func (c *Core) Validate() error {
 	if c.st.ROBCount < 0 || c.st.ROBCount > c.cfg.ROBSize {
 		return fmt.Errorf("core: ROB count %d out of range", c.st.ROBCount)
@@ -547,30 +623,17 @@ func (c *Core) Validate() error {
 	if c.st.DecodeHead < 0 || c.st.DecodeHead > len(c.st.Decode) {
 		return fmt.Errorf("core: decode head %d out of range [0, %d]", c.st.DecodeHead, len(c.st.Decode))
 	}
-	if c.st.Busy.Sched != len(c.st.Busy.Heap) {
-		return fmt.Errorf("core: inflight count %d disagrees with heap size %d",
-			c.st.Busy.Sched, len(c.st.Busy.Heap))
-	}
-	if cap(c.st.Busy.Heap) != c.cfg.ROBSize {
-		return fmt.Errorf("core: inflight heap capacity %d, want ROB size %d",
-			cap(c.st.Busy.Heap), c.cfg.ROBSize)
-	}
-	loads, stores := 0, 0
-	for i := range c.st.Busy.Heap {
-		if c.st.Busy.Heap[i].IsLoad {
-			loads++
-		}
-		if c.st.Busy.Heap[i].IsStore {
-			stores++
+	var rob slot
+	for i := 0; i < c.st.ROBCount; i++ {
+		if e := &c.st.ROB[(c.st.ROBHead+i)%c.cfg.ROBSize]; e.Done >= c.st.Clock {
+			rob.n++
+			rob.loads += b2i(e.IsLoad)
+			rob.stores += b2i(e.IsStore)
 		}
 	}
-	if loads != c.st.Busy.Loads || stores != c.st.Busy.Stores {
-		return fmt.Errorf("core: inflight load/store counters %d/%d disagree with heap %d/%d",
-			c.st.Busy.Loads, c.st.Busy.Stores, loads, stores)
-	}
-	if c.st.Busy.Sched > c.st.ROBCount {
-		return fmt.Errorf("core: %d in-flight instructions exceed ROB occupancy %d",
-			c.st.Busy.Sched, c.st.ROBCount)
+	if c.busy.sched != int(rob.n) || c.busy.loads != int(rob.loads) || c.busy.stores != int(rob.stores) {
+		return fmt.Errorf("core: in-flight sched/loads/stores %d/%d/%d, ROB recount %d/%d/%d",
+			c.busy.sched, c.busy.loads, c.busy.stores, rob.n, rob.loads, rob.stores)
 	}
 	return nil
 }

@@ -343,3 +343,78 @@ func TestOversizedInstructionFetchesAlone(t *testing.T) {
 		t.Fatalf("retired %d of 2", c.Stats().Instructions)
 	}
 }
+
+func TestFarCompletionsMigrate(t *testing.T) {
+	// DRAM timings of 600 cycles each put every row-missing load more
+	// than WheelSlots cycles past its dispatch, so completions take the
+	// far list and reach the wheel only at a lap boundary. Validate
+	// recounts the in-flight ROB entries after every cycle: a far entry
+	// migrated late, early or never leaves the occupancy totals wrong.
+	// The second run also rebuilds the occupancy from the ROB every 997
+	// cycles, as a restore does, and must retire on the same cycles.
+	run := func(rebuildEvery uint64) (Stats, int) {
+		hcfg := mem.DefaultHierarchyConfig()
+		hcfg.DRAM.TRP, hcfg.DRAM.TRCD, hcfg.DRAM.TCAS = 600, 600, 600
+		h := mem.MustNewHierarchy(hcfg)
+		ic, err := icache.NewConventional(icache.Baseline32K(), h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dc, err := mem.NewDataCache(mem.DefaultDataCacheConfig(), h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins := farLoads()
+		ftq := fdip.New(fdip.DefaultConfig(), trace.NewSlice(ins), bpu.New(bpu.Config{}), ic)
+		c := New(DefaultConfig(), ftq, ic, dc)
+		farCycles := 0
+		for c.Stats().Instructions < uint64(len(ins)) {
+			c.Cycle()
+			if rebuildEvery > 0 && c.Clock()%rebuildEvery == 0 {
+				c.Rebuild()
+			}
+			if err := c.Validate(); err != nil {
+				t.Fatalf("cycle %d: %v", c.Clock(), err)
+			}
+			if len(c.busy.far) > 0 {
+				farCycles++
+			}
+		}
+		return c.Stats(), farCycles
+	}
+	want, farCycles := run(0)
+	if farCycles == 0 {
+		t.Fatal("no completion took the far list")
+	}
+	if laps := want.Cycles / WheelSlots; laps < 4 {
+		t.Fatalf("run spans %d wheel laps, want several", laps)
+	}
+	if got, _ := run(997); got != want {
+		t.Errorf("rebuilt run diverged:\n got:  %+v\n want: %+v", got, want)
+	}
+}
+
+// farLoads is a 64-instruction loop, so the L1-I warms at once, whose
+// every sixteenth instruction loads from a fresh DRAM row; every other
+// load depends on the previous one.
+func farLoads() []trace.Instr {
+	const body, n = 64, 2000
+	ins := make([]trace.Instr, n)
+	for i := range ins {
+		k := i % body
+		ins[i] = trace.Instr{PC: 0x10000 + uint64(k)*4, Size: 4, Class: trace.ClassOther}
+		if k%16 == 0 {
+			ins[i].Class = trace.ClassLoad
+			ins[i].MemAddr = 0x8000_0000 + uint64(i)*(8192+64)
+			if k%32 == 0 {
+				ins[i].Dep1 = 16
+			}
+		}
+		if k == body-1 {
+			ins[i].Class = trace.ClassDirectJump
+			ins[i].Taken = true
+			ins[i].Target = 0x10000
+		}
+	}
+	return ins
+}

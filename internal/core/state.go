@@ -17,34 +17,12 @@ type DecodeItem struct {
 	ReadyAt uint64
 }
 
-// InflightEntry is one dispatched-but-incomplete instruction in the
-// completion heap: its completion cycle plus the queue resources it holds.
-type InflightEntry struct {
-	Done    uint64
-	IsLoad  bool
-	IsStore bool
-}
-
-// Inflight maintains the scheduler/LQ/SQ occupancy incrementally: counters
-// rise at dispatch and fall when the clock passes each instruction's
-// completion cycle. A fixed-capacity min-heap on completion time (capacity
-// ROBSize, sized at construction — the same shape as the memory system's
-// MSHR file) orders the expiries, replacing the per-cycle O(ROB) occupancy
-// scan the dispatch stage previously performed. The counters are, by
-// construction, exactly |{e in ROB : e.Done > now}| split by class: entries
-// enter at dispatch (Done is always > now then) and commit only removes
-// entries whose completion already expired here.
-type Inflight struct {
-	Heap   []InflightEntry `snap:"queue"`
-	Sched  int
-	Loads  int
-	Stores int
-}
-
 // State is the core backend's mutable state and its front-end redirect
 // machinery. The clock is the machine's monotonic time base — every
 // completion cycle in every layer is an absolute cycle number against
-// it — so it is part of the state, not of the stats.
+// it — so it is part of the state, not of the stats. Scheduler/LQ/SQ
+// occupancy is not: it is a function of the ROB and the clock, which
+// Core.Rebuild recomputes after a restore.
 //
 //ubs:state
 type State struct {
@@ -57,10 +35,8 @@ type State struct {
 	// array reusable, so steady state performs no allocations.
 	Decode     []DecodeItem `snap:"queue"`
 	DecodeHead int
-	// Busy tracks scheduler/LQ/SQ occupancy incrementally (see Inflight).
-	Busy     Inflight
-	Seq      uint64
-	DoneRing [512]uint64 // completion cycles by sequence number
+	Seq        uint64
+	DoneRing   [512]uint64 // completion cycles by sequence number
 
 	// Front-end redirect state.
 	WaitMispredict bool

@@ -2,9 +2,12 @@ package runner
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"os"
+	"strings"
 	"testing"
 
 	"ubscache/internal/checkpoint"
@@ -158,5 +161,63 @@ func TestStoreCorruptCheckpointFallsBack(t *testing.T) {
 	}
 	if res.Core.Instructions < p.Measure {
 		t.Errorf("fresh fallback ran %d < %d instructions", res.Core.Instructions, p.Measure)
+	}
+}
+
+// TestStoreOldVersionCheckpointFallsBack pins that a checkpoint from an
+// older layout (version 2, which still carried the core's completion
+// heap) is rejected on its version and the point recomputed from
+// scratch, byte-identical to a run that never saw it.
+func TestStoreOldVersionCheckpointFallsBack(t *testing.T) {
+	p := ckTestParams()
+	w, err := workloadspec.ParseWorkload("server_001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := sim.ParseDesign("conv:32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := workloadspec.Run(context.Background(), p, w, "conv:32", d.Factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(ref)
+
+	s := NewStore(t.TempDir())
+	s.CheckpointEvery = 7_000
+	pt := exp.SimPoint{Params: p, Workload: w, Design: "conv:32", Factory: d.Factory}
+	src, err := w.NewSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sim.NewMachine(context.Background(), p, src, w.Name, "conv:32", d.Factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := checkpoint.Meta{Workload: w.Spec, WorkloadName: w.Name, Design: "conv:32", Params: p}
+	errStop := errors.New("stop after the first checkpoint")
+	_, err = checkpoint.Complete(m, meta, s.CheckpointEvery, func(data []byte) error {
+		// Relabel the image as version 2 and reseal its trailing CRC, so
+		// only the version is wrong.
+		binary.LittleEndian.PutUint16(data[4:], 2)
+		binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
+		if werr := writeFileAtomic(s.ckPath(Key(pt)), data); werr != nil {
+			return werr
+		}
+		return errStop
+	})
+	if !errors.Is(err, errStop) {
+		t.Fatalf("want the stop sentinel, got %v", err)
+	}
+	if _, _, err := checkpoint.Read(s.ckPath(Key(pt))); err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("version-2 checkpoint: got %v, want the version error", err)
+	}
+	res, _, err := s.Run(context.Background(), pt)
+	if err != nil {
+		t.Fatalf("version-2 checkpoint should fall back, got %v", err)
+	}
+	if got, _ := json.Marshal(res); string(got) != string(want) {
+		t.Errorf("fresh fallback diverged:\n got:  %s\n want: %s", got, want)
 	}
 }

@@ -50,6 +50,10 @@ type Job struct {
 	startedAt time.Time
 	//ubs:guardedby(mu)
 	finishedAt time.Time
+	// finishing marks a claimed terminal transition whose state is not
+	// published yet (see finish).
+	//ubs:guardedby(mu)
+	finishing bool
 }
 
 // ID returns the job id.
@@ -121,7 +125,7 @@ func (j *Job) emitStatus() {
 // round-trips do not rewrite the job's history.
 func (j *Job) beginAttempt() (context.Context, bool) {
 	j.mu.Lock()
-	if j.state != JobQueued {
+	if j.state != JobQueued || j.finishing {
 		j.mu.Unlock()
 		return nil, false
 	}
@@ -140,7 +144,7 @@ func (j *Job) beginAttempt() (context.Context, bool) {
 // execution attempt; false means the job was not running.
 func (j *Job) suspend() bool {
 	j.mu.Lock()
-	if j.state != JobRunning {
+	if j.state != JobRunning || j.finishing {
 		j.mu.Unlock()
 		return false
 	}
@@ -159,7 +163,7 @@ func (j *Job) suspend() bool {
 // means the job was not suspended (e.g. cancelled while parked).
 func (j *Job) requeue() bool {
 	j.mu.Lock()
-	if j.state != JobSuspended {
+	if j.state != JobSuspended || j.finishing {
 		j.mu.Unlock()
 		return false
 	}
@@ -189,39 +193,56 @@ func (j *Job) beatCount() int {
 	return j.beats
 }
 
-// finish moves the job to a terminal state, emits the closing "status"
-// and "end" events, and closes the event log. It is idempotent: only the
-// first terminal transition wins.
-func (j *Job) finish(state JobState, res *sim.Result, fromCache bool, err error) bool {
+// finish moves the job to a terminal state in two steps. The first
+// claims the transition under the lock: only the first terminal
+// transition wins (later calls do nothing, book included), and no other
+// transition starts after it. The second emits the closing "status" and
+// "end" events, closes the event log, runs book (the caller's metrics),
+// and only then publishes the terminal state: a client that sees it
+// also sees the closed stream and the updated metrics.
+func (j *Job) finish(state JobState, res *sim.Result, fromCache bool, err error, book func()) {
 	j.mu.Lock()
-	if j.state.Terminal() {
+	if j.finishing || j.state.Terminal() {
 		j.mu.Unlock()
-		return false
+		return
 	}
-	j.state, j.err, j.fromCache = state, err, fromCache
-	j.finishedAt = time.Now()
-	if res != nil {
-		j.result = res
-		// The canonical result bytes: marshalled once, so every consumer
-		// of this job (and of any job deduped onto the same execution)
-		// reads byte-identical JSON.
-		j.resultJSON, _ = json.Marshal(res)
-	}
+	j.finishing = true
 	j.mu.Unlock()
-	j.emitStatus()
+
+	finishedAt := time.Now()
+	// The canonical result bytes: marshalled once, so every consumer of
+	// this job (and of any job deduped onto the same execution) reads
+	// byte-identical JSON.
+	var resultJSON []byte
+	if res != nil {
+		resultJSON, _ = json.Marshal(res)
+	}
+	st := j.Status()
+	st.State, st.FromCache, st.FinishedAt = state, fromCache, &finishedAt
+	if err != nil {
+		st.Error = err.Error()
+	}
+	//ubs:wallclock FinishedAt is job-status metadata on the event stream, like every status event's timestamps; never a simulated quantity
+	if data, merr := json.Marshal(st); merr == nil {
+		j.log.append(Event{Type: "status", Data: data})
+	}
 	end := struct {
 		State JobState `json:"state"`
 		Error string   `json:"error,omitempty"`
-	}{State: state}
-	if err != nil {
-		end.Error = err.Error()
-	}
+	}{State: state, Error: st.Error}
 	if data, merr := json.Marshal(end); merr == nil {
 		j.log.append(Event{Type: "end", Data: data})
 	}
 	j.log.close()
 	j.cancel() // release the context's resources
-	return true
+	book()
+
+	j.mu.Lock()
+	j.state, j.err, j.fromCache, j.finishedAt = state, err, fromCache, finishedAt
+	if res != nil {
+		j.result, j.resultJSON = res, resultJSON
+	}
+	j.mu.Unlock()
 }
 
 // jobObserver bridges obs run events into the job's SSE stream. EndRun is

@@ -308,8 +308,13 @@ func (s *sched) run(j *Job) {
 	if !ok {
 		return // cancelled while queued
 	}
+	// The in-flight gauge falls once per attempt: as part of the
+	// bookkeeping a terminal finish does before publishing its state, or
+	// on return otherwise (suspension, a lost finish).
 	s.inflightAdd(j, 1)
-	defer s.inflightAdd(j, -1)
+	var released sync.Once
+	release := func() { released.Do(func() { s.inflightAdd(j, -1) }) }
+	defer release()
 
 	t0 := time.Now()
 
@@ -362,17 +367,20 @@ func (s *sched) run(j *Job) {
 			// Deduped or cached: no live run fed this job's stream.
 			j.heartbeat(syntheticFinal(j, &res))
 		}
-		if j.finish(JobDone, &res, fromCache, nil) {
+		j.finish(JobDone, &res, fromCache, nil, func() {
+			release()
 			s.metrics.finished(JobDone)
 			s.metrics.jobSeconds(j.pt.Design).Observe(time.Since(t0).Seconds())
-		}
+		})
 	case errors.Is(o.err, context.Canceled) || errors.Is(o.err, context.DeadlineExceeded):
-		if j.finish(JobCancelled, nil, false, o.err) {
+		j.finish(JobCancelled, nil, false, o.err, func() {
+			release()
 			s.metrics.finished(JobCancelled)
-		}
+		})
 	default:
-		if j.finish(JobFailed, nil, false, o.err) {
+		j.finish(JobFailed, nil, false, o.err, func() {
+			release()
 			s.metrics.finished(JobFailed)
-		}
+		})
 	}
 }

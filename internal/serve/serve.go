@@ -143,18 +143,14 @@ func (s *Server) Cancel(id string) (*Job, bool, error) {
 	}
 	if s.sched.remove(j) {
 		// Still queued: finish it here; the worker never sees it.
-		if j.finish(JobCancelled, nil, false, context.Canceled) {
-			s.metrics.finished(JobCancelled)
-		}
+		j.finish(JobCancelled, nil, false, context.Canceled, func() { s.metrics.finished(JobCancelled) })
 		return j, true, nil
 	}
 	if s.sched.unpark(j) {
 		// Suspended: no worker owns it, so finish it here. finish cancels
 		// the job context, which also keeps a racing resume from reviving
 		// it.
-		if j.finish(JobCancelled, nil, false, context.Canceled) {
-			s.metrics.finished(JobCancelled)
-		}
+		j.finish(JobCancelled, nil, false, context.Canceled, func() { s.metrics.finished(JobCancelled) })
 		return j, true, nil
 	}
 	if j.State().Terminal() {

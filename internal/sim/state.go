@@ -107,7 +107,9 @@ func (m *Machine) Restore(src *MachineState) error {
 		return err
 	}
 	// snap.Restore checks shapes only; indices into the restored buffers
-	// must be checked here, before the machine runs on them.
+	// must be checked here, before the machine runs on them. The core's
+	// occupancy is derived from its ROB and clock, not checkpointed.
+	m.c.Rebuild()
 	if err := m.c.Validate(); err != nil {
 		return err
 	}

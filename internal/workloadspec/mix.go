@@ -1,6 +1,7 @@
 package workloadspec
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -81,26 +82,36 @@ func LoadMixFile(path string) (MixConfig, error) {
 	if err != nil {
 		return MixConfig{}, fmt.Errorf("workloadspec: %w", err)
 	}
-	var cfg MixConfig
-	if strings.HasSuffix(path, ".yaml") || strings.HasSuffix(path, ".yml") {
+	cfg, err := decodeMix(data, strings.HasSuffix(path, ".yaml") || strings.HasSuffix(path, ".yml"))
+	if err != nil {
+		return MixConfig{}, fmt.Errorf("workloadspec: mix file %s: %w", path, err)
+	}
+	return cfg, nil
+}
+
+// decodeMix decodes a mix declaration, a MixConfig without the path
+// field, from YAML or JSON.
+func decodeMix(data []byte, isYAML bool) (MixConfig, error) {
+	if isYAML {
 		v, err := parseYAML(data)
 		if err != nil {
-			return MixConfig{}, fmt.Errorf("workloadspec: mix file %s: %w", path, err)
+			return MixConfig{}, err
 		}
 		// Re-encode the generic YAML value as JSON and decode strictly, so
 		// YAML and JSON mix files share one schema and one error surface.
 		data, err = json.Marshal(v)
 		if err != nil {
-			return MixConfig{}, fmt.Errorf("workloadspec: mix file %s: %w", path, err)
+			return MixConfig{}, err
 		}
 	}
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	var cfg MixConfig
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&cfg); err != nil {
-		return MixConfig{}, fmt.Errorf("workloadspec: mix file %s: %w", path, err)
+		return MixConfig{}, err
 	}
 	if cfg.Path != "" {
-		return MixConfig{}, fmt.Errorf("workloadspec: mix file %s: nested path not allowed", path)
+		return MixConfig{}, fmt.Errorf("nested path not allowed")
 	}
 	return cfg, nil
 }
