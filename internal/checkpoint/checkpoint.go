@@ -64,23 +64,26 @@ type Meta struct {
 }
 
 // Encode serializes a metadata block and machine state into the
-// checkpoint wire format.
+// checkpoint wire format. The file is written into one buffer of its
+// exact size: the state encodes in place after the header.
 func Encode(meta Meta, st *sim.MachineState) ([]byte, error) {
 	mj, err := json.Marshal(meta)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: encoding meta: %w", err)
 	}
-	body, err := snap.Marshal(st)
+	n, err := snap.Size(st)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: encoding state: %w", err)
 	}
-	buf := make([]byte, 0, len(magic)+2+4+len(mj)+4+len(body)+4)
+	buf := make([]byte, 0, len(magic)+2+4+len(mj)+4+n+4)
 	buf = append(buf, magic...)
 	buf = binary.LittleEndian.AppendUint16(buf, Version)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(mj)))
 	buf = append(buf, mj...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)))
-	buf = append(buf, body...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+	if buf, err = snap.Append(buf, st); err != nil {
+		return nil, fmt.Errorf("checkpoint: encoding state: %w", err)
+	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	return buf, nil
 }

@@ -2,8 +2,10 @@ package checkpoint
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"ubscache/internal/sim"
 )
@@ -42,6 +44,12 @@ func TestGeometryMismatchRejected(t *testing.T) {
 		{"ftq-head", "conv:32", nil, func(st *sim.MachineState) {
 			st.FTQ.Head = len(st.FTQ.Queue) + 1
 		}},
+		// A live ROB head completing 2^40 cycles out: resumed, the
+		// machine would never retire another instruction.
+		{"rob-done-far-future", "conv:32", nil, func(st *sim.MachineState) {
+			st.Core.ROBCount = max(st.Core.ROBCount, 1)
+			st.Core.ROB[st.Core.ROBHead].Done = st.Core.Clock + 1<<40
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			meta, st, err := Decode(states[tc.from])
@@ -64,10 +72,25 @@ func TestGeometryMismatchRejected(t *testing.T) {
 			}
 			r, err := Resume(context.Background(), path, ResumeOptions{})
 			if err == nil {
-				r.Close()
-				t.Fatalf("%s state resumed into a mismatched machine", tc.from)
+				t.Fatalf("%s state resumed into a mismatched machine; running it %s", tc.from, runUnderDeadline(r))
 			}
 			t.Log(err)
 		})
+	}
+}
+
+// runUnderDeadline advances a machine that should not have resumed by
+// one instruction, giving up after a few seconds: a state that stalls
+// retirement spins inside Advance, and the test must fail, not hang. A
+// machine still spinning is left to the test binary's exit.
+func runUnderDeadline(r *Resumed) string {
+	done := make(chan error, 1)
+	go func() { done <- r.Machine.Advance(1) }()
+	select {
+	case err := <-done:
+		r.Close()
+		return fmt.Sprintf("returned %v", err)
+	case <-time.After(5 * time.Second):
+		return "hung (no instruction retired within 5s)"
 	}
 }

@@ -609,10 +609,31 @@ func (c *Core) Rebuild() {
 	}
 }
 
+// maxInFlight bounds how many cycles past the clock a live ROB entry
+// can complete. An instruction completes one access after its operands
+// are ready: a load's L1-D latency plus the hierarchy's worst case
+// (mem.Hierarchy.WorstLatency), 5 cycles without a data cache, 1 for
+// anything else. Its operands wait only on producers still in the ROB,
+// because a producer retires only once it has completed. So a
+// dependence chain runs through at most ROBSize entries, and none
+// completes more than ROBSize worst-case accesses after the cycle the
+// chain started, which is before the clock. Restored state beyond the
+// bound did not come from a run: the ROB head would never complete and
+// retirement would stall forever.
+func (c *Core) maxInFlight() uint64 {
+	access := uint64(5)
+	if c.dc != nil {
+		access = max(access, c.dc.Lat+c.dc.H.WorstLatency())
+	}
+	return uint64(c.cfg.ROBSize) * access
+}
+
 // Validate checks internal consistency: the ROB and decode-queue heads
-// index their buffers, and the occupancy totals match a recount of the
-// in-flight ROB entries. sim.Machine.Restore calls it on restored state;
-// tests call it after runs.
+// index their buffers, no live ROB entry completes further past the
+// clock than a run can schedule it (maxInFlight), and the occupancy
+// totals match a recount of the in-flight ROB entries.
+// sim.Machine.Restore calls it on restored state; tests call it after
+// runs.
 func (c *Core) Validate() error {
 	if c.st.ROBCount < 0 || c.st.ROBCount > c.cfg.ROBSize {
 		return fmt.Errorf("core: ROB count %d out of range", c.st.ROBCount)
@@ -624,8 +645,14 @@ func (c *Core) Validate() error {
 		return fmt.Errorf("core: decode head %d out of range [0, %d]", c.st.DecodeHead, len(c.st.Decode))
 	}
 	var rob slot
+	horizon := c.maxInFlight()
 	for i := 0; i < c.st.ROBCount; i++ {
-		if e := &c.st.ROB[(c.st.ROBHead+i)%c.cfg.ROBSize]; e.Done >= c.st.Clock {
+		e := &c.st.ROB[(c.st.ROBHead+i)%c.cfg.ROBSize]
+		if e.Done > c.st.Clock && e.Done-c.st.Clock > horizon {
+			return fmt.Errorf("core: ROB entry %d completes at cycle %d, more than %d cycles past the clock (%d)",
+				e.Seq, e.Done, horizon, c.st.Clock)
+		}
+		if e.Done >= c.st.Clock {
 			rob.n++
 			rob.loads += b2i(e.IsLoad)
 			rob.stores += b2i(e.IsStore)

@@ -313,6 +313,20 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	return h, nil
 }
 
+// WorstLatency bounds the cycles from a FetchBlock call to the
+// completion it returns. A request walks L2, L3 and DRAM once and the
+// fill returns through the L2; a merge into an outstanding miss
+// completes no later than that miss. At DRAM it can queue behind every
+// access still outstanding to its bank, and each of those holds an L3
+// MSHR, so the bank queue is at most the L3 MSHR file deep, each access
+// a full row miss plus its burst. The L2 and L3 hops are counted twice
+// to cover requests issued from the L1s at different pipeline offsets.
+func (h *Hierarchy) WorstLatency() uint64 {
+	d := h.DRAM.cfg
+	return 2*(h.L2.Lat+h.L3.Lat) + d.Controller +
+		uint64(h.L3.MSHR.Cap()+1)*(d.TRP+d.TRCD+d.TCAS+d.BusCycles)
+}
+
 // MustNewHierarchy panics on configuration errors.
 func MustNewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	h, err := NewHierarchy(cfg)

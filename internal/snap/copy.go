@@ -63,29 +63,9 @@ func RestoreBytes[T any](dst *T, data []byte) error {
 	return Restore(dst, &src)
 }
 
-// flat reports whether values of t are deep-copied by plain assignment:
-// no slices or pointers anywhere inside and no tagged or unexported
-// struct fields.
-func flat(t reflect.Type) bool {
-	switch t.Kind() {
-	case reflect.Bool, reflect.String, reflect.Float32, reflect.Float64,
-		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return true
-	case reflect.Array:
-		return flat(t.Elem())
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !f.IsExported() || f.Tag.Get("snap") != "" || !flat(f.Type) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
-}
+// flat reports whether values of t are deep-copied by plain assignment
+// (see plan.flat).
+func flat(t reflect.Type) bool { return planFor(t).flat }
 
 // deepCopy copies src into dst, reusing dst's storage where it fits;
 // skipOpaque leaves `snap:"opaque"` fields alone (Restore).

@@ -2,6 +2,8 @@ package snap
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -292,3 +294,118 @@ func TestRestoreBytes(t *testing.T) {
 		t.Fatal("truncated bytes accepted")
 	}
 }
+
+type f32s struct{ F []float32 }
+
+type node struct {
+	V    uint8
+	Next *node
+	Kids []node
+}
+
+// ra and rb reach each other: rb holds an ra inline, ra points at an rb.
+type ra struct {
+	P *rb
+	N uint64
+}
+
+type rb struct {
+	X ra
+	Y uint16
+}
+
+type midUnexported struct {
+	A uint8
+	b int
+	C []uint8
+}
+
+type lazyReject struct {
+	P *struct{ M map[int]int }
+	S []map[int]int
+	F func()
+}
+
+type runs struct {
+	A, B, C bool
+	D       uint8
+	E       uint32
+	F       int
+	G       [3]uint16
+	H       []struct {
+		X uint64
+		Y bool
+		Z int32
+	}
+	I [2]struct{ P, Q uint32 }
+}
+
+// TestPlanMatchesReferenceEdgeCases checks the compiled plans against the
+// reflective reference on the corners the state types do not reach:
+// signalling NaNs, recursive and mutually recursive types, rejected
+// fields behind nil pointers and empty slices, and coalesced runs of
+// scalars with bools among them. Every truncation and, at every offset,
+// every small byte value must decode to the reference's error or value.
+func TestPlanMatchesReferenceEdgeCases(t *testing.T) {
+	snan := math.Float32frombits(0x7f800001)
+	for name, v := range map[string]any{
+		"sample":          ptr(sample()),
+		"sample by value": sample(),
+		"signalling nan":  &f32s{F: []float32{snan, 1, float32(math.Inf(-1))}},
+		"recursive":       &node{V: 1, Next: &node{V: 2, Kids: []node{{V: 3}}}, Kids: []node{{Next: &node{}}}},
+		"mutual":          &[]rb{{X: ra{P: &rb{Y: 7}, N: 9}, Y: 1}, {Y: 2}},
+		"unexported":      &midUnexported{A: 1, C: []uint8{2}},
+		"lazy reject":     &lazyReject{},
+		"reject reached":  &lazyReject{S: []map[int]int{nil}},
+		"runs": &runs{A: true, C: true, D: 4, E: 5, F: -6, G: [3]uint16{7, 8, 9},
+			H: []struct {
+				X uint64
+				Y bool
+				Z int32
+			}{{1, true, -1}, {2, false, 3}}, I: [2]struct{ P, Q uint32 }{{1, 2}, {3, 4}}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			got, gerr := Marshal(v)
+			want, werr := RefMarshal(v)
+			if fmt.Sprint(gerr) != fmt.Sprint(werr) || !bytes.Equal(got, want) {
+				t.Fatalf("Marshal = %x, %v; reference %x, %v", got, gerr, want, werr)
+			}
+			if gerr != nil {
+				return
+			}
+			typ := reflect.TypeOf(v)
+			if typ.Kind() == reflect.Pointer {
+				typ = typ.Elem()
+			}
+			check := func(what string, data []byte) {
+				g, w := reflect.New(typ), reflect.New(typ)
+				gerr, werr := Unmarshal(data, g.Interface()), RefUnmarshal(data, w.Interface())
+				if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+					t.Fatalf("%s: Unmarshal error %v, reference %v", what, gerr, werr)
+				}
+				if gerr != nil {
+					return
+				}
+				// Compare through the reference encoding, so that a NaN
+				// equals itself.
+				gb, _ := RefMarshal(g.Interface())
+				wb, _ := RefMarshal(w.Interface())
+				if !bytes.Equal(gb, wb) {
+					t.Fatalf("%s: decoded %x, reference %x", what, gb, wb)
+				}
+			}
+			for n := 0; n <= len(want); n++ {
+				check(fmt.Sprintf("truncated to %d", n), want[:n])
+			}
+			for at := range want {
+				for b := 0; b < 6; b++ {
+					bad := append([]byte(nil), want...)
+					bad[at] = byte(b)
+					check(fmt.Sprintf("byte %d set to %d", at, b), bad)
+				}
+			}
+		})
+	}
+}
+
+func ptr[T any](v T) *T { return &v }

@@ -46,6 +46,7 @@ type ChampSim struct {
 	loop bool
 
 	f  *os.File
+	zr *bufio.Reader // .gz: buffers the compressed bytes for gz
 	gz *gzip.Reader
 	br *bufio.Reader
 
@@ -55,7 +56,7 @@ type ChampSim struct {
 
 	// Last-writer table for dependence reconstruction: lastW[r] is the
 	// stream index of the most recent record that wrote register r. The
-	// table survives a loop reopen so the wrap seam sees the same producers
+	// table survives a loop rewind so the wrap seam sees the same producers
 	// a real loop body would.
 	idx   uint64
 	lastW [256]uint64
@@ -82,53 +83,36 @@ func NewChampSim(r io.Reader) *ChampSim {
 // OpenChampSim opens a ChampSim trace file. A ".gz" suffix selects gzip
 // decompression; ".xz" and ".bz2" are rejected (decompress externally —
 // the toolchain ships no xz codec). With loop set the trace replays
-// forever, reopening the file at EOF, which turns short published traces
-// into steady-state workloads like trace.Loop does for slices.
+// forever: at EOF it rewinds the file it holds open and resets its
+// readers (and the gzip decompressor) over it, which turns short
+// published traces into steady-state workloads like trace.Loop does for
+// slices, without reopening the file on every pass.
 func OpenChampSim(path string, loop bool) (*ChampSim, error) {
 	if strings.HasSuffix(path, ".xz") || strings.HasSuffix(path, ".bz2") {
 		return nil, fmt.Errorf("trace: %s: compressed ChampSim traces must be .gz or decompressed externally (no xz/bz2 codec)", path)
 	}
-	c := &ChampSim{path: path, loop: loop}
-	if err := c.open(); err != nil {
+	f, err := os.Open(path)
+	if err != nil {
 		return nil, err
 	}
+	c := &ChampSim{path: path, loop: loop, f: f}
+	if !strings.HasSuffix(path, ".gz") {
+		c.br = bufio.NewReaderSize(f, 1<<16)
+		return c, nil
+	}
+	// gzip reads through a byte reader of its own; handing it one that
+	// rewind can reset keeps gzip.Reader.Reset from allocating another.
+	c.zr = bufio.NewReader(f)
+	if c.gz, err = gzip.NewReader(c.zr); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("trace: %s: %w", path, err)
+	}
+	c.br = bufio.NewReaderSize(c.gz, 1<<16)
 	return c, nil
 }
 
-// open (re)opens the backing file, replacing any previous handles.
-func (c *ChampSim) open() error {
-	if err := c.closeFile(); err != nil {
-		return err
-	}
-	f, err := os.Open(c.path)
-	if err != nil {
-		return err
-	}
-	c.f = f
-	if strings.HasSuffix(c.path, ".gz") {
-		gz, err := gzip.NewReader(f)
-		if err != nil {
-			f.Close()
-			c.f = nil
-			return fmt.Errorf("trace: %s: %w", c.path, err)
-		}
-		c.gz = gz
-		if c.br == nil {
-			c.br = bufio.NewReaderSize(gz, 1<<16)
-		} else {
-			c.br.Reset(gz)
-		}
-	} else {
-		if c.br == nil {
-			c.br = bufio.NewReaderSize(f, 1<<16)
-		} else {
-			c.br.Reset(f)
-		}
-	}
-	return nil
-}
-
-func (c *ChampSim) closeFile() error {
+// Close releases the underlying file when opened via OpenChampSim.
+func (c *ChampSim) Close() error {
 	var err error
 	if c.gz != nil {
 		err = c.gz.Close()
@@ -142,9 +126,6 @@ func (c *ChampSim) closeFile() error {
 	}
 	return err
 }
-
-// Close releases the underlying file when opened via OpenChampSim.
-func (c *ChampSim) Close() error { return c.closeFile() }
 
 // Err returns the terminal decode error, if any, excluding io.EOF.
 func (c *ChampSim) Err() error {
@@ -163,7 +144,7 @@ func (c *ChampSim) Next() (Instr, bool) {
 		in, ok := c.readRecord()
 		if !ok {
 			if c.loop && c.err == io.EOF && c.have {
-				if !c.reopen() {
+				if !c.rewind() {
 					return Instr{}, false
 				}
 				continue
@@ -291,17 +272,30 @@ func (c *ChampSim) readRecord() (Instr, bool) {
 	return in, true
 }
 
-// reopen restarts a looping trace after EOF. The dependence table and
-// stream index persist across the seam so the wrap point sees producers
-// from the previous pass, as a real loop body would.
-func (c *ChampSim) reopen() bool {
-	if c.path == "" {
+// rewind restarts a looping trace after EOF: it seeks the open file
+// back to its start and resets the readers over it, allocating nothing.
+// The dependence table and stream index persist across the seam so the
+// wrap point sees producers from the previous pass, as a real loop body
+// would.
+func (c *ChampSim) rewind() bool {
+	if c.f == nil {
 		return false
 	}
-	c.err = nil
-	if err := c.open(); err != nil {
+	if _, err := c.f.Seek(0, io.SeekStart); err != nil {
 		c.err = err
 		return false
 	}
+	if c.gz == nil {
+		c.br.Reset(c.f)
+		c.err = nil
+		return true
+	}
+	c.zr.Reset(c.f)
+	if err := c.gz.Reset(c.zr); err != nil {
+		c.err = fmt.Errorf("trace: %s: %w", c.path, err)
+		return false
+	}
+	c.br.Reset(c.gz)
+	c.err = nil
 	return true
 }

@@ -90,7 +90,7 @@ func TestChampSimReader(t *testing.T) {
 }
 
 // TestChampSimLoop replays the fixture forever: the seam emits the
-// otherwise-dropped final record (finalised against the reopened stream's
+// otherwise-dropped final record (finalised against the rewound stream's
 // first ip), every wrapped instruction still validates, and the second
 // pass repeats the first's PCs.
 func TestChampSimLoop(t *testing.T) {
@@ -157,6 +157,80 @@ func TestChampSimGzip(t *testing.T) {
 	}
 	if len(got) != len(tinyChampSimGolden) {
 		t.Fatalf("decoded %d instructions, want %d", len(got), len(tinyChampSimGolden))
+	}
+}
+
+// gzipCopy writes raw gzip-compressed to a new file and returns its path.
+func gzipCopy(t *testing.T, raw []byte) string {
+	t.Helper()
+	path := t.TempDir() + "/tiny.champsim.gz"
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zw := gzip.NewWriter(f)
+	if _, err := zw.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestChampSimLoopRewind runs the looping fixture, plain and gzipped,
+// over 1,000 wraps. Its stream must equal the non-looping decode of the
+// fixture repeated end to end: the lookahead, the last-writer table and
+// the stream index all carry across every seam, exactly as they would
+// through one long file. A wrap allocates nothing: the file is rewound
+// and its readers, gzip's included, reset in place.
+func TestChampSimLoopRewind(t *testing.T) {
+	raw, err := os.ReadFile("testdata/tiny.champsim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wraps = 1_000
+	want := collectChampSim(t, NewChampSim(bytes.NewReader(bytes.Repeat(raw, wraps+1))), 1<<30)
+	if n := (wraps+1)*len(raw)/champSimRecordBytes - 1; len(want) != n {
+		t.Fatalf("reference decoded %d instructions, want %d", len(want), n)
+	}
+	for name, path := range map[string]string{
+		"plain": "testdata/tiny.champsim",
+		"gzip":  gzipCopy(t, raw),
+	} {
+		t.Run(name, func(t *testing.T) {
+			c, err := OpenChampSim(path, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			got := collectChampSim(t, c, len(want))
+			if err := c.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("loop produced %d instructions, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("instruction %d (pass %d):\n got %+v\nwant %+v", i, i*champSimRecordBytes/len(raw), got[i], want[i])
+				}
+			}
+			pass := len(raw) / champSimRecordBytes
+			allocs := testing.AllocsPerRun(100, func() {
+				for i := 0; i < pass; i++ { // one pass crosses one seam
+					if _, ok := c.Next(); !ok {
+						t.Fatal(c.Err())
+					}
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("a pass over the looping trace allocated %v times", allocs)
+			}
+		})
 	}
 }
 
